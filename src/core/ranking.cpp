@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/hotness.hpp"
 #include "util/assert.hpp"
 #include "util/ckpt.hpp"
 
@@ -173,8 +174,7 @@ void save_page_counts(util::ckpt::Writer& w, const PageCountMap& counts) {
   w.put_u64(counts.size());
   // Single ascending-key pass; no per-key re-hash.
   counts.fold_sorted([&w](const PageKey& key, std::uint32_t count) {
-    w.put_u64(key.pid);
-    w.put_u64(key.page_va);
+    PageKeyCodec::save(w, key);
     w.put_u32(count);
   });
 }
@@ -184,9 +184,7 @@ void load_page_counts(util::ckpt::Reader& r, PageCountMap& counts) {
   const std::uint64_t n = r.get_u64();
   counts.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
-    PageKey key;
-    key.pid = static_cast<mem::Pid>(r.get_u64());
-    key.page_va = r.get_u64();
+    const PageKey key = PageKeyCodec::load(r);
     counts[key] = r.get_u32();
   }
 }
@@ -210,8 +208,7 @@ void load_observation(util::ckpt::Reader& r, EpochObservation& obs) {
 void save_ranking(util::ckpt::Writer& w, const std::vector<PageRank>& ranking) {
   w.put_u64(ranking.size());
   for (const PageRank& pr : ranking) {
-    w.put_u64(pr.key.pid);
-    w.put_u64(pr.key.page_va);
+    PageKeyCodec::save(w, pr.key);
     w.put_u64(pr.rank);
     w.put_u32(pr.abit);
     w.put_u32(pr.trace);
@@ -226,8 +223,7 @@ void load_ranking(util::ckpt::Reader& r, std::vector<PageRank>& ranking) {
   ranking.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     PageRank pr;
-    pr.key.pid = static_cast<mem::Pid>(r.get_u64());
-    pr.key.page_va = r.get_u64();
+    pr.key = PageKeyCodec::load(r);
     pr.rank = r.get_u64();
     pr.abit = r.get_u32();
     pr.trace = r.get_u32();

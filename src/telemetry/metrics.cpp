@@ -189,4 +189,12 @@ void MetricsRegistry::load_state(util::ckpt::Reader& r) {
   }
 }
 
+void MetricsRegistry::restore_from(const MetricsRegistry& staged) {
+  for (const auto& [name, value] : staged.counters_) counters_[name] = value;
+  for (const auto& [name, value] : staged.gauges_) gauges_[name] = value;
+  for (const auto& [name, hist] : staged.histograms_) {
+    histograms_.insert_or_assign(name, hist);
+  }
+}
+
 }  // namespace tmprof::telemetry

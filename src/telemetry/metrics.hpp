@@ -134,6 +134,10 @@ class MetricsRegistry {
   /// transient inside an epoch and must be empty (merged) at save time.
   void save_state(util::ckpt::Writer& w) const;
   void load_state(util::ckpt::Reader& r);
+  /// Commit a staged restore: `staged` is a copy of this registry that
+  /// load_state() then filled. Cells are overwritten in place, so handles
+  /// resolved earlier stay valid.
+  void restore_from(const MetricsRegistry& staged);
 
  private:
   static void check_name(std::string_view name);

@@ -88,16 +88,24 @@ void Telemetry::save_state(util::ckpt::Writer& w) const {
 }
 
 void Telemetry::load_state(util::ckpt::Reader& r) {
-  registry_.load_state(r);
-  tracer_.load_state(r);
-  run_labels_.clear();
-  const std::uint64_t n_labels = r.get_u64();
-  run_labels_.reserve(n_labels);
-  for (std::uint64_t i = 0; i < n_labels; ++i) {
-    const std::uint32_t pid = r.get_u32();
-    run_labels_.emplace_back(pid, r.get_str());
+  // Stage the whole section before committing any of it: a rejected image
+  // must leave the sink as it was, so the cold-start retry exports exactly
+  // what a fresh run does.
+  MetricsRegistry metrics = registry_;
+  metrics.load_state(r);
+  SpanTracer tracer(config_.span_capacity);
+  tracer.load_state(r);
+  std::vector<std::pair<std::uint32_t, std::string>> labels(r.get_u64());
+  for (auto& [pid, label] : labels) {
+    pid = r.get_u32();
+    label = r.get_str();
   }
-  current_pid_ = r.get_u32();
+  const std::uint32_t current_pid = r.get_u32();
+  r.end_section();
+  registry_.restore_from(metrics);
+  tracer_ = std::move(tracer);
+  run_labels_ = std::move(labels);
+  current_pid_ = current_pid;
 }
 
 }  // namespace tmprof::telemetry

@@ -79,7 +79,9 @@ class Telemetry {
   void write_prometheus(std::ostream& os) const;
 
   /// Checkpoint hooks (util/ckpt.hpp): registry, span ring and run labels,
-  /// so a resumed run exports byte-identical artifacts.
+  /// so a resumed run exports byte-identical artifacts. The state fills the
+  /// rest of its section; load_state reads through the section's end before
+  /// it commits, so a rejected section restores nothing.
   void save_state(util::ckpt::Writer& w) const;
   void load_state(util::ckpt::Reader& r);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/hotness.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tiering/tenant.hpp"
 #include "util/ckpt.hpp"
@@ -310,8 +311,7 @@ void AdmissionController::save_state(util::ckpt::Writer& w) const {
   w.put_u64(last_pressure_total_);
   w.put_u64(history_.size());
   history_.fold_sorted([&](const PageKey& key, const PageHistory& h) {
-    w.put_u64(key.pid);
-    w.put_u64(key.page_va);
+    core::PageKeyCodec::save(w, key);
     w.put_u32(h.last_epoch);
     w.put_u32(h.promote_epoch);
     w.put_u32(h.demote_epoch);
@@ -344,9 +344,7 @@ void AdmissionController::load_state(util::ckpt::Reader& r) {
   const std::uint64_t n = r.get_u64();
   history_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
-    PageKey key;
-    key.pid = static_cast<mem::Pid>(r.get_u64());
-    key.page_va = r.get_u64();
+    const PageKey key = core::PageKeyCodec::load(r);
     PageHistory h;
     h.last_epoch = r.get_u32();
     h.promote_epoch = r.get_u32();

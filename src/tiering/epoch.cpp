@@ -13,11 +13,20 @@ namespace tmprof::tiering {
 
 namespace {
 
+void save_keys(util::ckpt::Writer& w, const std::vector<PageKey>& keys) {
+  w.put_u64(keys.size());
+  for (const PageKey& key : keys) core::PageKeyCodec::save(w, key);
+}
+
+void load_keys(util::ckpt::Reader& r, std::vector<PageKey>& keys) {
+  keys.resize(r.get_u64());
+  for (PageKey& key : keys) key = core::PageKeyCodec::load(r);
+}
+
 void save_truth_map(util::ckpt::Writer& w, const core::TruthMap& map) {
   w.put_u64(map.size());
   map.fold_sorted([&w](const PageKey& key, std::uint64_t count) {
-    w.put_u64(key.pid);
-    w.put_u64(key.page_va);
+    core::PageKeyCodec::save(w, key);
     w.put_u64(count);
   });
 }
@@ -27,9 +36,7 @@ void load_truth_map(util::ckpt::Reader& r, core::TruthMap& map) {
   const std::uint64_t count = r.get_u64();
   map.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    PageKey key;
-    key.pid = static_cast<mem::Pid>(r.get_u64());
-    key.page_va = r.get_u64();
+    const PageKey key = core::PageKeyCodec::load(r);
     map[key] = r.get_u64();
   }
 }
@@ -41,8 +48,7 @@ void save_size_map(util::ckpt::Writer& w, const PageSizeMap& map) {
   std::sort(keys.begin(), keys.end());
   w.put_u64(keys.size());
   for (const PageKey& key : keys) {
-    w.put_u64(key.pid);
-    w.put_u64(key.page_va);
+    core::PageKeyCodec::save(w, key);
     w.put_u8(static_cast<std::uint8_t>(map.at(key)));
   }
 }
@@ -52,12 +58,16 @@ void load_size_map(util::ckpt::Reader& r, PageSizeMap& map) {
   const std::uint64_t count = r.get_u64();
   map.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    PageKey key;
-    key.pid = static_cast<mem::Pid>(r.get_u64());
-    key.page_va = r.get_u64();
+    const PageKey key = core::PageKeyCodec::load(r);
     map.emplace(key, static_cast<mem::PageSize>(r.get_u8()));
   }
 }
+
+/// The DegradeStats fields a series checkpoints, in order.
+constexpr std::uint64_t core::DegradeStats::*kSeriesDegradeFields[] = {
+    &core::DegradeStats::hwpc_wraps,      &core::DegradeStats::scans_aborted,
+    &core::DegradeStats::trace_dropped,   &core::DegradeStats::rescaled_epochs,
+    &core::DegradeStats::fallback_epochs, &core::DegradeStats::pinned_epochs};
 
 }  // namespace
 
@@ -125,11 +135,7 @@ void TruthCollector::merge_shards() {
 void TruthCollector::save_state(util::ckpt::Writer& w) const {
   truth_.save_state(w, "truth");
   seen_.save_state(w, "truth");
-  w.put_u64(new_pages_.size());
-  for (const PageKey& key : new_pages_) {
-    w.put_u64(key.pid);
-    w.put_u64(key.page_va);
-  }
+  save_keys(w, new_pages_);
   save_size_map(w, page_sizes_);
   w.put_u64(shards_.size());
   for (const Shard& shard : shards_) {
@@ -137,8 +143,7 @@ void TruthCollector::save_state(util::ckpt::Writer& w) const {
     shard.seen.save_state(w, "truth");
     w.put_u64(shard.new_pages.size());
     for (const auto& [key, size] : shard.new_pages) {
-      w.put_u64(key.pid);
-      w.put_u64(key.page_va);
+      core::PageKeyCodec::save(w, key);
       w.put_u8(static_cast<std::uint8_t>(size));
     }
   }
@@ -147,15 +152,7 @@ void TruthCollector::save_state(util::ckpt::Writer& w) const {
 void TruthCollector::load_state(util::ckpt::Reader& r) {
   truth_.load_state(r, "truth");
   seen_.load_state(r, "truth");
-  new_pages_.clear();
-  const std::uint64_t n_new = r.get_u64();
-  new_pages_.reserve(n_new);
-  for (std::uint64_t i = 0; i < n_new; ++i) {
-    PageKey key;
-    key.pid = static_cast<mem::Pid>(r.get_u64());
-    key.page_va = r.get_u64();
-    new_pages_.push_back(key);
-  }
+  load_keys(r, new_pages_);
   load_size_map(r, page_sizes_);
   const std::uint64_t n_shards = r.get_u64();
   if (n_shards != shards_.size()) {
@@ -168,10 +165,9 @@ void TruthCollector::load_state(util::ckpt::Reader& r) {
     const std::uint64_t n_shard_new = r.get_u64();
     shard.new_pages.reserve(n_shard_new);
     for (std::uint64_t i = 0; i < n_shard_new; ++i) {
-      PageKey key;
-      key.pid = static_cast<mem::Pid>(r.get_u64());
-      key.page_va = r.get_u64();
-      shard.new_pages.emplace_back(key, static_cast<mem::PageSize>(r.get_u8()));
+      const PageKey key = core::PageKeyCodec::load(r);
+      shard.new_pages.emplace_back(key,
+                                   static_cast<mem::PageSize>(r.get_u8()));
     }
   }
 }
@@ -217,11 +213,7 @@ void save_epoch_data(util::ckpt::Writer& w, const EpochData& data) {
   save_truth_map(w, data.truth);
   w.put_u64(data.truth_total);
   core::save_observation(w, data.observed);
-  w.put_u64(data.new_pages.size());
-  for (const PageKey& key : data.new_pages) {
-    w.put_u64(key.pid);
-    w.put_u64(key.page_va);
-  }
+  save_keys(w, data.new_pages);
 }
 
 void load_epoch_data(util::ckpt::Reader& r, EpochData& data) {
@@ -229,15 +221,7 @@ void load_epoch_data(util::ckpt::Reader& r, EpochData& data) {
   load_truth_map(r, data.truth);
   data.truth_total = r.get_u64();
   core::load_observation(r, data.observed);
-  data.new_pages.clear();
-  const std::uint64_t n_new = r.get_u64();
-  data.new_pages.reserve(n_new);
-  for (std::uint64_t i = 0; i < n_new; ++i) {
-    PageKey key;
-    key.pid = static_cast<mem::Pid>(r.get_u64());
-    key.page_va = r.get_u64();
-    data.new_pages.push_back(key);
-  }
+  load_keys(r, data.new_pages);
 }
 
 void save_series(util::ckpt::Writer& w, const EpochSeries& series) {
@@ -245,12 +229,9 @@ void save_series(util::ckpt::Writer& w, const EpochSeries& series) {
   for (const EpochData& data : series.epochs) save_epoch_data(w, data);
   save_size_map(w, series.page_sizes);
   w.put_u64(series.footprint_frames);
-  w.put_u64(series.degrade.hwpc_wraps);
-  w.put_u64(series.degrade.scans_aborted);
-  w.put_u64(series.degrade.trace_dropped);
-  w.put_u64(series.degrade.rescaled_epochs);
-  w.put_u64(series.degrade.fallback_epochs);
-  w.put_u64(series.degrade.pinned_epochs);
+  for (const auto field : kSeriesDegradeFields) {
+    w.put_u64(series.degrade.*field);
+  }
 }
 
 void load_series(util::ckpt::Reader& r, EpochSeries& series) {
@@ -264,117 +245,77 @@ void load_series(util::ckpt::Reader& r, EpochSeries& series) {
   }
   load_size_map(r, series.page_sizes);
   series.footprint_frames = r.get_u64();
-  series.degrade.hwpc_wraps = r.get_u64();
-  series.degrade.scans_aborted = r.get_u64();
-  series.degrade.trace_dropped = r.get_u64();
-  series.degrade.rescaled_epochs = r.get_u64();
-  series.degrade.fallback_epochs = r.get_u64();
-  series.degrade.pinned_epochs = r.get_u64();
+  for (const auto field : kSeriesDegradeFields) {
+    series.degrade.*field = r.get_u64();
+  }
 }
 
 namespace {
 
+/// A resume file that failed to load. Distinct from CkptError so a failed
+/// save inside the epoch loop is never mistaken for a bad resume file.
+struct Rejected {
+  util::ckpt::CkptError error;
+};
+
+template <class... F>
+struct Overloaded : F... {
+  using F::operator()...;
+};
+
+void put_meta(util::ckpt::Writer& w, const MetaField& field) {
+  std::visit(Overloaded{[&w](std::uint8_t v) { w.put_u8(v); },
+                        [&w](std::uint32_t v) { w.put_u32(v); },
+                        [&w](std::uint64_t v) { w.put_u64(v); },
+                        [&w](bool v) { w.put_bool(v); },
+                        [&w](std::string_view v) { w.put_str(v); }},
+             field.value);
+}
+
+void check_meta(util::ckpt::Reader& r, const MetaField& field) {
+  const bool same = std::visit(
+      Overloaded{[&r](std::uint8_t v) { return r.get_u8() == v; },
+                 [&r](std::uint32_t v) { return r.get_u32() == v; },
+                 [&r](std::uint64_t v) { return r.get_u64() == v; },
+                 [&r](bool v) { return r.get_bool() == v; },
+                 [&r](std::string_view v) { return r.get_str() == v; }},
+      field.value);
+  if (!same) {
+    throw util::ckpt::CkptError("meta", std::string(field.name) + " mismatch");
+  }
+}
+
 EpochSeries collect_series_impl(const WorkloadFactory& factory,
-                                const sim::SimConfig& sim_config,
+                                const sim::SimConfig& config,
                                 const CollectOptions& options,
                                 const std::string& resume_path) {
-  TMPROF_EXPECTS(options.n_epochs >= 1);
-  if (options.checkpoint.enabled()) {
-    // Best-effort mkdir -p; a dir that still can't be written to surfaces
-    // as a CkptError("<io>") from the first save_atomic.
-    std::error_code ec;
-    std::filesystem::create_directories(options.checkpoint.dir, ec);
-  }
-  sim::SimConfig config = sim_config;
-  if (options.n_threads >= 1) config.sharded_engine = true;
   sim::System system(config);
   for (auto& generator : factory(options.seed)) {
     system.add_process(std::move(generator));
   }
-
   TruthCollector truth(system, options.daemon.driver.hotness);
   system.add_observer(&truth);
   core::TmpDaemon daemon(system, options.daemon);
 
-  telemetry::Telemetry* const telemetry = options.telemetry;
-  telemetry::Counter epochs_counter;
-  if (telemetry != nullptr) {
-    telemetry->begin_run(options.telemetry_label.empty()
-                             ? "collect"
-                             : options.telemetry_label);
-    system.set_telemetry(telemetry);
-    daemon.set_telemetry(telemetry);
-    epochs_counter = telemetry->metrics().counter("runner_epochs_total");
-  }
-
   EpochSeries series;
   series.epochs.reserve(options.n_epochs);
-  std::uint32_t start_epoch = 0;
-
-  if (!resume_path.empty()) {
-    util::ckpt::Reader r = util::ckpt::Reader::from_file(resume_path);
-    r.enter_section("meta");
-    if (r.get_str() != "collect") {
-      throw util::ckpt::CkptError("meta", "checkpoint kind is not 'collect'");
-    }
-    if (r.get_u64() != options.seed) {
-      throw util::ckpt::CkptError("meta", "seed mismatch");
-    }
-    if (r.get_u32() != options.n_epochs) {
-      throw util::ckpt::CkptError("meta", "epoch count mismatch");
-    }
-    if (r.get_u64() != options.ops_per_epoch) {
-      throw util::ckpt::CkptError("meta", "ops-per-epoch mismatch");
-    }
-    if (r.get_bool() != config.sharded_engine) {
-      throw util::ckpt::CkptError("meta", "engine mode mismatch");
-    }
-    start_epoch = r.get_u32();
-    if (start_epoch == 0 || start_epoch >= options.n_epochs) {
-      throw util::ckpt::CkptError("meta", "resume epoch out of range");
-    }
-    r.end_section();
-    r.enter_section("system");
-    system.load_state(r);
-    r.end_section();
-    r.enter_section("daemon");
-    daemon.load_state(r);
-    r.end_section();
-    r.enter_section("truth");
-    truth.load_state(r);
-    r.end_section();
-    r.enter_section("series");
-    load_series(r, series);
-    r.end_section();
-    if (series.epochs.size() != start_epoch) {
-      throw util::ckpt::CkptError("series", "epoch record count mismatch");
-    }
-    r.enter_section("telemetry");
-    if (r.get_bool() != (telemetry != nullptr)) {
-      throw util::ckpt::CkptError("telemetry", "telemetry presence mismatch");
-    }
-    if (telemetry != nullptr) telemetry->load_state(r);
-    r.end_section();
-  }
-
-  std::unique_ptr<util::ThreadPool> pool;
-  if (options.n_threads > 1) {
-    pool = std::make_unique<util::ThreadPool>(options.n_threads);
-  }
-
-  // Reused across epochs: each EpochData keeps its own maps (the series
-  // retains them), but the snapshot's ranking vector and whatever buffers
-  // the daemon hands back are recycled.
-  core::ProfileSnapshot snapshot;
-
-  for (std::uint32_t e = start_epoch; e < options.n_epochs; ++e) {
-    const util::SimNs epoch_begin = system.now();
-    if (config.sharded_engine) {
-      system.step_parallel(options.ops_per_epoch, pool.get());
-    } else {
-      system.step(options.ops_per_epoch);
-    }
-    daemon.tick_into(snapshot);
+  EpochPlan plan;
+  plan.kind = "collect";
+  plan.meta = {{"seed", options.seed},
+               {"epoch count", options.n_epochs},
+               {"ops-per-epoch", options.ops_per_epoch}};
+  plan.sections = {
+      layer_section("truth", truth),
+      {"series", [&](util::ckpt::Writer& w) { save_series(w, series); },
+       [&](util::ckpt::Reader& r) {
+         load_series(r, series);
+         if (series.epochs.size() != plan.start_epoch) {
+           throw util::ckpt::CkptError("series",
+                                       "epoch record count mismatch");
+         }
+       }},
+  };
+  plan.stage = [&](std::uint32_t e, core::ProfileSnapshot& snapshot) {
     EpochData data;
     data.epoch = e;
     // The returned total is exact in both hotness modes (sketch-mode maps
@@ -382,50 +323,9 @@ EpochSeries collect_series_impl(const WorkloadFactory& factory,
     data.truth_total = truth.end_epoch(data.truth, data.new_pages);
     data.observed = std::move(snapshot.observation);
     series.epochs.push_back(std::move(data));
-    // Telemetry is recorded before any checkpoint below so the saved span
-    // ring and counters include this epoch (resume → identical exports).
-    epochs_counter.inc();
-    if (telemetry != nullptr) {
-      telemetry->span("runner.epoch", epoch_begin, system.now(),
-                      telemetry::kTidRunner);
-      telemetry->maybe_export(e + 1);
-    }
-    if (options.checkpoint.enabled() &&
-        (e + 1) % options.checkpoint.every == 0) {
-      util::ckpt::Writer w;
-      w.begin_section("meta");
-      w.put_str("collect");
-      w.put_u64(options.seed);
-      w.put_u32(options.n_epochs);
-      w.put_u64(options.ops_per_epoch);
-      w.put_bool(config.sharded_engine);
-      w.put_u32(e + 1);
-      w.end_section();
-      w.begin_section("system");
-      system.save_state(w);
-      w.end_section();
-      w.begin_section("daemon");
-      daemon.save_state(w);
-      w.end_section();
-      w.begin_section("truth");
-      truth.save_state(w);
-      w.end_section();
-      w.begin_section("series");
-      save_series(w, series);
-      w.end_section();
-      w.begin_section("telemetry");
-      w.put_bool(telemetry != nullptr);
-      if (telemetry != nullptr) telemetry->save_state(w);
-      w.end_section();
-      util::ckpt::Writer::save_atomic(
-          util::ckpt::checkpoint_path(options.checkpoint.dir,
-                                      options.checkpoint.basename, e + 1),
-          w.finish());
-      util::ckpt::prune(options.checkpoint.dir, options.checkpoint.basename,
-                        options.checkpoint.keep_last);
-    }
-    if (options.on_epoch) options.on_epoch(e);
-  }
+  };
+  run_epochs(options, resume_path, system, daemon, plan);
+
   series.page_sizes = truth.page_sizes();
   series.footprint_frames = 0;
   for (const auto& [key, size] : series.page_sizes) {
@@ -437,25 +337,164 @@ EpochSeries collect_series_impl(const WorkloadFactory& factory,
 
 }  // namespace
 
+Section flagged_section(std::string name, bool present, std::string what,
+                        std::function<void(util::ckpt::Writer&)> save,
+                        std::function<void(util::ckpt::Reader&)> load) {
+  Section section{std::move(name), nullptr, nullptr};
+  section.save = [present, save = std::move(save)](util::ckpt::Writer& w) {
+    w.put_bool(present);
+    save(w);
+  };
+  section.load = [present, name = section.name, what = std::move(what),
+                  load = std::move(load)](util::ckpt::Reader& r) {
+    if (r.get_bool() != present) {
+      throw util::ckpt::CkptError(name, what + " mismatch");
+    }
+    load(r);
+  };
+  return section;
+}
+
+void run_epochs(const CollectOptions& options, const std::string& resume_path,
+                sim::System& system, core::TmpDaemon& daemon,
+                EpochPlan& plan) {
+  telemetry::Telemetry* const telemetry = options.telemetry;
+  telemetry::Counter epochs_counter;
+  if (telemetry != nullptr) {
+    telemetry->begin_run(options.telemetry_label.empty()
+                             ? plan.kind
+                             : options.telemetry_label);
+    system.set_telemetry(telemetry);
+    daemon.set_telemetry(telemetry);
+    epochs_counter = telemetry->metrics().counter("runner_epochs_total");
+  }
+  std::vector<Section> table = {layer_section("system", system),
+                                layer_section("daemon", daemon)};
+  table.insert(table.end(), plan.sections.begin(), plan.sections.end());
+  table.push_back(optional_layer_section("telemetry", telemetry,
+                                         "telemetry presence"));
+  // `meta`: the kind tag, the kind's identity fields and the engine mode,
+  // then the epoch the checkpoint resumes at.
+  std::vector<MetaField> meta = {
+      {"checkpoint kind", std::string_view(plan.kind)}};
+  meta.insert(meta.end(), plan.meta.begin(), plan.meta.end());
+  meta.push_back({"engine mode", system.config().sharded_engine});
+
+  plan.start_epoch = 0;
+  if (!resume_path.empty()) {
+    try {
+      util::ckpt::Reader r = util::ckpt::Reader::from_file(resume_path);
+      r.enter_section("meta");
+      for (const MetaField& field : meta) check_meta(r, field);
+      plan.start_epoch = r.get_u32();
+      if (plan.start_epoch == 0 || plan.start_epoch >= options.n_epochs) {
+        throw util::ckpt::CkptError("meta", "resume epoch out of range");
+      }
+      r.end_section();
+      for (const Section& section : table) {
+        r.enter_section(section.name);
+        section.load(r);
+        r.end_section();
+      }
+    } catch (const util::ckpt::CkptError& err) {
+      throw Rejected{err};
+    }
+  } else if (plan.cold_start) {
+    plan.cold_start();
+  }
+
+  std::unique_ptr<util::ThreadPool> pool;
+  if (options.n_threads > 1) {
+    pool = std::make_unique<util::ThreadPool>(options.n_threads);
+  }
+  // Reused across epochs: the snapshot's observation maps and ranking
+  // vector are recycled rather than reallocated.
+  core::ProfileSnapshot snapshot;
+  const util::ckpt::Options& ck = options.checkpoint;
+  for (std::uint32_t e = plan.start_epoch; e < options.n_epochs; ++e) {
+    const util::SimNs epoch_begin = system.now();
+    if (system.config().sharded_engine) {
+      system.step_parallel(options.ops_per_epoch, pool.get());
+    } else {
+      system.step(options.ops_per_epoch);
+    }
+    daemon.tick_into(snapshot);
+    plan.stage(e, snapshot);
+    // Record the epoch's telemetry before the checkpoint below, so the
+    // saved span ring and counters include this epoch — a resumed run
+    // replays the remaining epochs and exports identical artifacts.
+    epochs_counter.inc();
+    if (telemetry != nullptr) {
+      telemetry->span("runner.epoch", epoch_begin, system.now(),
+                      telemetry::kTidRunner);
+      telemetry->maybe_export(e + 1);
+    }
+    if (ck.enabled() && (e + 1) % ck.every == 0) {
+      util::ckpt::Writer w;
+      w.begin_section("meta");
+      for (const MetaField& field : meta) put_meta(w, field);
+      w.put_u32(e + 1);
+      w.end_section();
+      for (const Section& section : table) {
+        w.begin_section(section.name);
+        section.save(w);
+        w.end_section();
+      }
+      util::ckpt::Writer::save_atomic(
+          util::ckpt::checkpoint_path(ck.dir, ck.basename, e + 1),
+          w.finish());
+      util::ckpt::prune(ck.dir, ck.basename, ck.keep_last);
+    }
+    if (options.on_epoch) options.on_epoch(e);
+  }
+}
+
+void resume_or_cold(
+    std::string_view kind, const CollectOptions& options,
+    sim::SimConfig config,
+    const std::function<void(const sim::SimConfig&, const std::string&)>&
+        attempt) {
+  const util::ckpt::Options& ck = options.checkpoint;
+  if (ck.enabled()) {
+    // Best-effort mkdir -p; a dir that still can't be written to surfaces
+    // as a CkptError("<io>") from the first save_atomic.
+    std::error_code ec;
+    std::filesystem::create_directories(ck.dir, ec);
+  }
+  if (options.n_threads >= 1) config.sharded_engine = true;
+
+  std::vector<std::string> candidates;
+  if (!ck.resume_from.empty()) {
+    candidates.push_back(ck.resume_from);
+  } else if (ck.resume_latest && !ck.dir.empty()) {
+    candidates = util::ckpt::checkpoints_in(ck.dir, ck.basename);
+  }
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    try {
+      attempt(config, candidates[i]);
+      return;
+    } catch (const Rejected& rejected) {
+      TMPROF_LOG_WARN << kind << ": checkpoint '" << candidates[i]
+                      << "' rejected in section '" << rejected.error.section()
+                      << "': " << rejected.error.what()
+                      << (i + 1 < candidates.size()
+                              ? "; trying the next older checkpoint"
+                              : "; starting cold");
+    }
+  }
+  attempt(config, "");
+}
+
 EpochSeries collect_series(const WorkloadFactory& factory,
                            const sim::SimConfig& sim_config,
                            const CollectOptions& options) {
-  std::string resume = options.checkpoint.resume_from;
-  if (resume.empty() && options.checkpoint.resume_latest &&
-      !options.checkpoint.dir.empty()) {
-    resume = util::ckpt::latest_in(options.checkpoint.dir,
-                                   options.checkpoint.basename);
-  }
-  if (!resume.empty()) {
-    try {
-      return collect_series_impl(factory, sim_config, options, resume);
-    } catch (const util::ckpt::CkptError& err) {
-      TMPROF_LOG_WARN << "collect: checkpoint '" << resume
-                      << "' rejected in section '" << err.section()
-                      << "': " << err.what() << "; starting cold";
-    }
-  }
-  return collect_series_impl(factory, sim_config, options, "");
+  TMPROF_EXPECTS(options.n_epochs >= 1);
+  EpochSeries series;
+  resume_or_cold("collect", options, sim_config,
+                 [&](const sim::SimConfig& config, const std::string& path) {
+                   series = collect_series_impl(factory, config, options, path);
+                 });
+  return series;
 }
 
 }  // namespace tmprof::tiering

@@ -9,6 +9,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/daemon.hpp"
@@ -107,7 +111,8 @@ struct CollectOptions {
   /// uses a worker pool. All values >= 1 produce identical results.
   std::uint32_t n_threads = 0;
   /// Periodic checkpointing and resume (docs/RECOVERY.md). A rejected
-  /// resume file logs the bad section and falls back to a cold start.
+  /// resume file logs the bad section and falls back to the next-older
+  /// retained checkpoint (with resume_latest), then to a cold start.
   util::ckpt::Options checkpoint{};
   /// Called after each completed epoch (chaos harness kill hook).
   std::function<void(std::uint32_t)> on_epoch;
@@ -127,6 +132,99 @@ using WorkloadFactory =
 
 /// Factory for a Table III spec (make_workload per process).
 [[nodiscard]] WorkloadFactory spec_factory(const workloads::WorkloadSpec& spec);
+
+// ---------------------------------------------------------------------------
+// The checkpointed epoch loop shared by collect_series and
+// EndToEndRunner::run. A kind of run builds its layers, then hands the loop
+// its per-epoch stage and its section table. The loop owns the engine
+// choice, the worker pool, the step dispatch, the epoch telemetry, the
+// periodic checkpoint, the on_epoch hook and resume selection; save and
+// load are both generated from the one table, in one order. It reads
+// n_epochs, ops_per_epoch, n_threads, checkpoint, on_epoch, telemetry and
+// telemetry_label from its CollectOptions.
+
+/// One identity field of the `meta` section; a resume whose value differs
+/// is rejected with "<name> mismatch". A string value must outlive the run.
+struct MetaField {
+  const char* name;
+  std::variant<std::uint8_t, std::uint32_t, std::uint64_t, bool,
+               std::string_view>
+      value;
+};
+
+/// One checkpoint section: its name and the two halves of its payload.
+struct Section {
+  std::string name;
+  std::function<void(util::ckpt::Writer&)> save;
+  std::function<void(util::ckpt::Reader&)> load;
+};
+
+/// A section led by a presence flag. On resume a flag that differs from
+/// `present` throws CkptError(name, "<what> mismatch"); otherwise the body
+/// runs, present or not.
+[[nodiscard]] Section flagged_section(
+    std::string name, bool present, std::string what,
+    std::function<void(util::ckpt::Writer&)> save,
+    std::function<void(util::ckpt::Reader&)> load);
+
+/// A section holding `layer`'s save_state/load_state.
+template <class Layer>
+[[nodiscard]] Section layer_section(std::string name, Layer& layer) {
+  return {std::move(name),
+          [&layer](util::ckpt::Writer& w) { layer.save_state(w); },
+          [&layer](util::ckpt::Reader& r) { layer.load_state(r); }};
+}
+
+/// A flagged section for an optional layer (null = absent).
+template <class Layer>
+[[nodiscard]] Section optional_layer_section(std::string name, Layer* layer,
+                                             std::string what) {
+  return flagged_section(
+      std::move(name), layer != nullptr, std::move(what),
+      [layer](util::ckpt::Writer& w) {
+        if (layer != nullptr) layer->save_state(w);
+      },
+      [layer](util::ckpt::Reader& r) {
+        if (layer != nullptr) layer->load_state(r);
+      });
+}
+
+/// What one kind of run hands the epoch loop.
+struct EpochPlan {
+  /// "runner" | "collect": the meta tag and default telemetry label.
+  const char* kind = "";
+  /// Identity fields; the loop adds the kind tag before them and the
+  /// engine mode after them.
+  std::vector<MetaField> meta;
+  /// The kind's sections; the loop frames them with `system` and `daemon`
+  /// before and `telemetry` after. This table is the one place a section
+  /// is added (docs/RECOVERY.md).
+  std::vector<Section> sections;
+  /// Per-epoch work after the daemon tick.
+  std::function<void(std::uint32_t epoch, core::ProfileSnapshot& snapshot)>
+      stage;
+  /// Runs before epoch 0 of a run that did not resume.
+  std::function<void()> cold_start;
+  /// First epoch to run; set from `meta` before the sections load.
+  std::uint32_t start_epoch = 0;
+};
+
+/// Load `resume_path` (if non-empty) into the run, then step, tick, stage,
+/// record and checkpoint every remaining epoch.
+void run_epochs(const CollectOptions& options, const std::string& resume_path,
+                sim::System& system, core::TmpDaemon& daemon,
+                EpochPlan& plan);
+
+/// Pick the engine, then call `attempt(config, path)` per resume candidate
+/// until one loads: `resume_from`, or with `resume_latest` every retained
+/// checkpoint, newest first. Each rejected file logs a warning naming its
+/// bad section; when none loads, `attempt(config, "")` starts cold.
+/// `attempt` builds its run from scratch and passes `path` to run_epochs.
+void resume_or_cold(
+    std::string_view kind, const CollectOptions& options,
+    sim::SimConfig config,
+    const std::function<void(const sim::SimConfig&, const std::string&)>&
+        attempt);
 
 /// Run workloads under the TMP daemon and collect their epoch series.
 [[nodiscard]] EpochSeries collect_series(const WorkloadFactory& factory,

@@ -4,6 +4,7 @@
 #include <limits>
 #include <unordered_map>
 
+#include "core/hotness.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tiering/tenant.hpp"
 #include "util/assert.hpp"
@@ -650,8 +651,7 @@ void PageMover::save_state(util::ckpt::Writer& w) const {
   fault_.save_state(w);
   w.put_u64(deferred_.size());
   for (const DeferredMove& dm : deferred_) {
-    w.put_u64(dm.key.pid);
-    w.put_u64(dm.key.page_va);
+    core::PageKeyCodec::save(w, dm.key);
     w.put_u8(dm.dest);
   }
   w.put_u64(move_seq_);
@@ -665,8 +665,7 @@ void PageMover::load_state(util::ckpt::Reader& r) {
   deferred_.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     DeferredMove dm;
-    dm.key.pid = static_cast<mem::Pid>(r.get_u64());
-    dm.key.page_va = r.get_u64();
+    dm.key = core::PageKeyCodec::load(r);
     dm.dest = static_cast<mem::TierId>(r.get_u8());
     deferred_set_.insert(dm.key);
     deferred_.push_back(dm);

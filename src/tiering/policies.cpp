@@ -157,10 +157,7 @@ void FirstTouchPolicy::save_state(util::ckpt::Writer& w) const {
   std::vector<PageKey> keys(placement_.begin(), placement_.end());
   std::sort(keys.begin(), keys.end());
   w.put_u64(keys.size());
-  for (const PageKey& key : keys) {
-    w.put_u64(key.pid);
-    w.put_u64(key.page_va);
-  }
+  for (const PageKey& key : keys) core::PageKeyCodec::save(w, key);
   w.put_u64(used_frames_);
 }
 
@@ -169,10 +166,7 @@ void FirstTouchPolicy::load_state(util::ckpt::Reader& r) {
   const std::uint64_t count = r.get_u64();
   placement_.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    PageKey key;
-    key.pid = static_cast<mem::Pid>(r.get_u64());
-    key.page_va = r.get_u64();
-    placement_.insert(key);
+    placement_.insert(core::PageKeyCodec::load(r));
   }
   used_frames_ = r.get_u64();
 }
@@ -180,8 +174,7 @@ void FirstTouchPolicy::load_state(util::ckpt::Reader& r) {
 void FrequencyDecayPolicy::save_state(util::ckpt::Writer& w) const {
   w.put_u64(score_.size());
   score_.fold_sorted([&w](const PageKey& key, double score) {
-    w.put_u64(key.pid);
-    w.put_u64(key.page_va);
+    core::PageKeyCodec::save(w, key);
     w.put_f64(score);
   });
 }
@@ -191,9 +184,7 @@ void FrequencyDecayPolicy::load_state(util::ckpt::Reader& r) {
   const std::uint64_t count = r.get_u64();
   score_.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    PageKey key;
-    key.pid = static_cast<mem::Pid>(r.get_u64());
-    key.page_va = r.get_u64();
+    const PageKey key = core::PageKeyCodec::load(r);
     score_[key] = r.get_f64();
   }
 }

@@ -1,17 +1,13 @@
 #include "tiering/runner.hpp"
 
 #include <algorithm>
-#include <filesystem>
 #include <memory>
-#include <unordered_map>
 
 #include "pmu/events.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tiering/epoch.hpp"
 #include "util/assert.hpp"
 #include "util/ckpt.hpp"
-#include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace tmprof::tiering {
 
@@ -40,71 +36,31 @@ void sync_poison(sim::System& system, monitors::BadgerTrap& trap,
   }
 }
 
-}  // namespace
+/// MoveStats fields in checkpoint order.
+constexpr std::uint64_t MoveStats::*kMoveStatFields[] = {
+    &MoveStats::promoted,    &MoveStats::demoted,  &MoveStats::retried,
+    &MoveStats::deferred,    &MoveStats::aborted,  &MoveStats::no_room,
+    &MoveStats::rejected,    &MoveStats::cooled,   &MoveStats::shed,
+    &MoveStats::moved_bytes, &MoveStats::cost_ns,  &MoveStats::backoff_ns};
 
-RunnerResult EndToEndRunner::run(const workloads::WorkloadSpec& spec,
-                                 const sim::SimConfig& sim_config,
-                                 const RunnerOptions& options) {
-  return run(spec_factory(spec), sim_config, options);
-}
-
-namespace {
-
-void save_move_stats(util::ckpt::Writer& w, const MoveStats& stats) {
-  w.put_u64(stats.promoted);
-  w.put_u64(stats.demoted);
-  w.put_u64(stats.retried);
-  w.put_u64(stats.deferred);
-  w.put_u64(stats.aborted);
-  w.put_u64(stats.no_room);
-  w.put_u64(stats.rejected);
-  w.put_u64(stats.cooled);
-  w.put_u64(stats.shed);
-  w.put_u64(stats.moved_bytes);
-  w.put_u64(stats.cost_ns);
-  w.put_u64(stats.backoff_ns);
-}
-
-void load_move_stats(util::ckpt::Reader& r, MoveStats& stats) {
-  stats.promoted = r.get_u64();
-  stats.demoted = r.get_u64();
-  stats.retried = r.get_u64();
-  stats.deferred = r.get_u64();
-  stats.aborted = r.get_u64();
-  stats.no_room = r.get_u64();
-  stats.rejected = r.get_u64();
-  stats.cooled = r.get_u64();
-  stats.shed = r.get_u64();
-  stats.moved_bytes = r.get_u64();
-  stats.cost_ns = r.get_u64();
-  stats.backoff_ns = r.get_u64();
+/// The profiling loop under the run: what the oracle's shadow collection
+/// repeats and what run_epochs reads.
+CollectOptions collect_options(const RunnerOptions& options) {
+  CollectOptions collect;
+  collect.n_epochs = options.n_epochs;
+  collect.ops_per_epoch = options.ops_per_epoch;
+  collect.seed = options.seed;
+  collect.daemon = options.daemon;
+  collect.daemon.fault = options.fault;
+  collect.n_threads = options.n_threads;
+  return collect;
 }
 
 RunnerResult run_impl(const WorkloadFactory& factory,
-                      const sim::SimConfig& sim_config,
+                      const sim::SimConfig& config,
                       const RunnerOptions& options,
+                      const CollectOptions& loop,
                       const std::string& resume_path) {
-  if (options.checkpoint.enabled()) {
-    // Best-effort mkdir -p; a dir that still can't be written to surfaces
-    // as a CkptError("<io>") from the first save_atomic.
-    std::error_code ec;
-    std::filesystem::create_directories(options.checkpoint.dir, ec);
-  }
-  sim::SimConfig config = sim_config;
-  if (options.slow_model == SlowMemoryModel::BadgerTrapEmulation) {
-    // All tiers are physically DRAM; slowness comes from injected faults.
-    config.tier2_read_ns = config.tier1_read_ns;
-    config.tier2_write_ns = config.tier1_write_ns;
-    if (!config.tiers.empty()) {
-      const mem::TierSpec fastest = config.tiers.front();
-      for (mem::TierSpec& spec : config.tiers) {
-        spec.read_latency_ns = fastest.read_latency_ns;
-        spec.write_latency_ns = fastest.write_latency_ns;
-        spec.line_transfer_ns = fastest.line_transfer_ns;
-      }
-    }
-  }
-  if (options.n_threads >= 1) config.sharded_engine = true;
   sim::System system(config);
   {
     std::size_t i = 0;
@@ -117,10 +73,10 @@ RunnerResult run_impl(const WorkloadFactory& factory,
     }
   }
 
+  const bool emulation =
+      options.slow_model == SlowMemoryModel::BadgerTrapEmulation;
   monitors::BadgerTrap trap(options.badgertrap);
-  if (options.slow_model == SlowMemoryModel::BadgerTrapEmulation) {
-    system.set_badgertrap(&trap);
-  }
+  if (emulation) system.set_badgertrap(&trap);
 
   core::DaemonConfig daemon_config = options.daemon;
   daemon_config.fusion = options.fusion;
@@ -154,7 +110,6 @@ RunnerResult run_impl(const WorkloadFactory& factory,
   // cells in place, and load_state later overwrites those same cells, so
   // resolution order never affects restored values.
   telemetry::Telemetry* const telemetry = options.telemetry;
-  telemetry::Counter epochs_counter;
   // Per-tier occupancy / fill gauges, named from the chain's tier names
   // sanitized to the registry charset ("tier1-dram" -> tier_tier1_dram_*).
   // Updated once per epoch from deterministic epoch-barrier state, so the
@@ -162,14 +117,8 @@ RunnerResult run_impl(const WorkloadFactory& factory,
   std::vector<telemetry::Gauge> tier_occupied_gauges;
   std::vector<telemetry::Gauge> tier_fill_gauges;
   if (telemetry != nullptr) {
-    telemetry->begin_run(options.telemetry_label.empty()
-                             ? options.policy
-                             : options.telemetry_label);
-    system.set_telemetry(telemetry);
-    daemon.set_telemetry(telemetry);
     mover.set_telemetry(telemetry);
     arbiter.set_telemetry(telemetry);
-    epochs_counter = telemetry->metrics().counter("runner_epochs_total");
     for (const mem::TierSpec& spec : sim::tier_specs(config)) {
       std::string name = spec.name;
       for (char& c : name) {
@@ -185,130 +134,96 @@ RunnerResult run_impl(const WorkloadFactory& factory,
 
   const bool migrate = options.policy != "first-touch";
   const bool oracle = options.policy == "oracle";
-  const bool emulation =
-      options.slow_model == SlowMemoryModel::BadgerTrapEmulation;
   std::unique_ptr<Policy> policy;
   if (migrate && !oracle) policy = make_policy(options.policy);
 
   std::vector<std::vector<core::PageRank>> oracle_rankings;
-  std::uint32_t start_epoch = 0;
   RunnerResult result;
 
-  if (!resume_path.empty()) {
-    util::ckpt::Reader r = util::ckpt::Reader::from_file(resume_path);
-    r.enter_section("meta");
-    if (r.get_str() != "runner") {
-      throw util::ckpt::CkptError("meta", "checkpoint kind is not 'runner'");
-    }
-    if (r.get_u64() != options.seed) {
-      throw util::ckpt::CkptError("meta", "seed mismatch");
-    }
-    if (r.get_str() != options.policy) {
-      throw util::ckpt::CkptError("meta", "policy mismatch");
-    }
-    if (r.get_u8() != static_cast<std::uint8_t>(options.fusion)) {
-      throw util::ckpt::CkptError("meta", "fusion mode mismatch");
-    }
-    if (r.get_u32() != options.n_epochs) {
-      throw util::ckpt::CkptError("meta", "epoch count mismatch");
-    }
-    if (r.get_u64() != options.ops_per_epoch) {
-      throw util::ckpt::CkptError("meta", "ops-per-epoch mismatch");
-    }
-    if (r.get_u8() != static_cast<std::uint8_t>(options.slow_model)) {
-      throw util::ckpt::CkptError("meta", "slow-memory model mismatch");
-    }
-    if (r.get_bool() != config.sharded_engine) {
-      throw util::ckpt::CkptError("meta", "engine mode mismatch");
-    }
-    start_epoch = r.get_u32();
-    if (start_epoch == 0 || start_epoch >= options.n_epochs) {
-      throw util::ckpt::CkptError("meta", "resume epoch out of range");
-    }
-    r.end_section();
-    r.enter_section("system");
-    system.load_state(r);
-    r.end_section();
-    r.enter_section("daemon");
-    daemon.load_state(r);
-    r.end_section();
-    r.enter_section("devmon");
-    daemon.driver().load_devmon_state(r);
-    r.end_section();
-    r.enter_section("stream");
-    daemon.driver().load_stream_state(r);
-    r.end_section();
-    r.enter_section("mover");
-    mover.load_state(r);
-    r.end_section();
-    r.enter_section("admission");
-    if (r.get_bool() != mover.admission().enabled()) {
-      throw util::ckpt::CkptError("admission", "admission presence mismatch");
-    }
-    if (r.get_u8() !=
-        static_cast<std::uint8_t>(mover.admission().config().mode)) {
-      throw util::ckpt::CkptError("admission", "admission mode mismatch");
-    }
-    if (mover.admission().enabled()) mover.admission().load_state(r);
-    r.end_section();
-    r.enter_section("tenant");
-    if (r.get_bool() != arbiter.enabled()) {
-      throw util::ckpt::CkptError("tenant",
-                                  "tenant arbitration presence mismatch");
-    }
-    if (arbiter.enabled()) arbiter.load_state(r);
-    r.end_section();
-    r.enter_section("policy");
-    if (r.get_bool() != (policy != nullptr)) {
-      throw util::ckpt::CkptError("policy", "policy presence mismatch");
-    }
-    if (policy) policy->load_state(r);
-    r.end_section();
-    r.enter_section("trap");
-    if (r.get_bool() != emulation) {
-      throw util::ckpt::CkptError("trap", "emulation mode mismatch");
-    }
-    if (emulation) trap.load_state(r);
-    r.end_section();
-    r.enter_section("oracle");
-    if (r.get_bool() != oracle) {
-      throw util::ckpt::CkptError("oracle", "oracle mode mismatch");
-    }
-    if (oracle) {
-      const std::uint64_t n_rankings = r.get_u64();
-      oracle_rankings.reserve(n_rankings);
-      for (std::uint64_t i = 0; i < n_rankings; ++i) {
-        std::vector<core::PageRank> ranking;
-        core::load_ranking(r, ranking);
-        oracle_rankings.push_back(std::move(ranking));
-      }
-    }
-    r.end_section();
-    r.enter_section("runner");
-    result.migrations = r.get_u64();
-    load_move_stats(r, result.moves);
-    r.end_section();
-    r.enter_section("telemetry");
-    if (r.get_bool() != (telemetry != nullptr)) {
-      throw util::ckpt::CkptError("telemetry", "telemetry presence mismatch");
-    }
-    if (telemetry != nullptr) telemetry->load_state(r);
-    r.end_section();
-  }
+  // Epoch-stage scratch, hoisted so steady-state iterations recycle the
+  // policy-side buffers instead of reallocating them every epoch.
+  std::vector<core::PageRank> filtered;
+  PageSizeMap sizes;
+  PlacementSet current;
+  PlacementSet hot;
+
+  EpochPlan plan;
+  plan.kind = "runner";
+  plan.meta = {{"seed", options.seed},
+               {"policy", std::string_view(options.policy)},
+               {"fusion mode", static_cast<std::uint8_t>(options.fusion)},
+               {"epoch count", options.n_epochs},
+               {"ops-per-epoch", options.ops_per_epoch},
+               {"slow-memory model",
+                static_cast<std::uint8_t>(options.slow_model)}};
+  AdmissionController& admission = mover.admission();
+  plan.sections = {
+      {"devmon",
+       [&](util::ckpt::Writer& w) { daemon.driver().save_devmon_state(w); },
+       [&](util::ckpt::Reader& r) { daemon.driver().load_devmon_state(r); }},
+      {"stream",
+       [&](util::ckpt::Writer& w) { daemon.driver().save_stream_state(w); },
+       [&](util::ckpt::Reader& r) { daemon.driver().load_stream_state(r); }},
+      layer_section("mover", mover),
+      flagged_section(
+          "admission", admission.enabled(), "admission presence",
+          [&](util::ckpt::Writer& w) {
+            w.put_u8(static_cast<std::uint8_t>(admission.config().mode));
+            if (admission.enabled()) admission.save_state(w);
+          },
+          [&](util::ckpt::Reader& r) {
+            if (r.get_u8() !=
+                static_cast<std::uint8_t>(admission.config().mode)) {
+              throw util::ckpt::CkptError("admission",
+                                          "admission mode mismatch");
+            }
+            if (admission.enabled()) admission.load_state(r);
+          }),
+      optional_layer_section("tenant", arbiter.enabled() ? &arbiter : nullptr,
+                             "tenant arbitration presence"),
+      optional_layer_section("policy", policy.get(), "policy presence"),
+      optional_layer_section("trap", emulation ? &trap : nullptr,
+                             "emulation mode"),
+      // The oracle's rankings ride along, so a resumed oracle run skips
+      // the shadow pre-pass.
+      flagged_section(
+          "oracle", oracle, "oracle mode",
+          [&](util::ckpt::Writer& w) {
+            if (!oracle) return;
+            w.put_u64(oracle_rankings.size());
+            for (const auto& ranking : oracle_rankings) {
+              core::save_ranking(w, ranking);
+            }
+          },
+          [&](util::ckpt::Reader& r) {
+            if (!oracle) return;
+            oracle_rankings.resize(r.get_u64());
+            for (auto& ranking : oracle_rankings) {
+              core::load_ranking(r, ranking);
+            }
+          }),
+      {"runner",
+       [&](util::ckpt::Writer& w) {
+         w.put_u64(result.migrations);
+         for (const auto field : kMoveStatFields) {
+           w.put_u64(result.moves.*field);
+         }
+       },
+       [&](util::ckpt::Reader& r) {
+         result.migrations = r.get_u64();
+         for (const auto field : kMoveStatFields) {
+           result.moves.*field = r.get_u64();
+         }
+       }},
+  };
 
   // Oracle pre-pass: record each epoch's true hottest pages on an identical
   // shadow run (workload streams are deterministic, so the shadow sees the
-  // same references the main run will). A resumed run restores the rankings
-  // from the checkpoint instead of repeating the shadow run.
-  if (oracle && resume_path.empty()) {
-    CollectOptions collect;
-    collect.n_epochs = options.n_epochs;
-    collect.ops_per_epoch = options.ops_per_epoch;
-    collect.seed = options.seed;
-    collect.daemon = options.daemon;
-    collect.daemon.fault = options.fault;
-    collect.n_threads = options.n_threads;
-    const EpochSeries series = collect_series(factory, config, collect);
+  // same references the main run will).
+  plan.cold_start = [&] {
+    if (!oracle) return;
+    const EpochSeries series =
+        collect_series(factory, config, collect_options(options));
     for (const EpochData& data : series.epochs) {
       std::vector<core::PageRank> ranking;
       ranking.reserve(data.truth.size());
@@ -321,30 +236,9 @@ RunnerResult run_impl(const WorkloadFactory& factory,
       std::sort(ranking.begin(), ranking.end(), core::RankOrder{});
       oracle_rankings.push_back(std::move(ranking));
     }
-  }
+  };
 
-  std::unique_ptr<util::ThreadPool> pool;
-  if (options.n_threads > 1) {
-    pool = std::make_unique<util::ThreadPool>(options.n_threads);
-  }
-
-  // Epoch-loop scratch, hoisted so steady-state iterations recycle the
-  // snapshot's observation maps / ranking vector and the policy-side
-  // buffers instead of reallocating them every epoch.
-  core::ProfileSnapshot snapshot;
-  std::vector<core::PageRank> filtered;
-  PageSizeMap sizes;
-  PlacementSet current;
-  PlacementSet hot;
-
-  for (std::uint32_t e = start_epoch; e < options.n_epochs; ++e) {
-    const util::SimNs epoch_begin = system.now();
-    if (config.sharded_engine) {
-      system.step_parallel(options.ops_per_epoch, pool.get());
-    } else {
-      system.step(options.ops_per_epoch);
-    }
-    daemon.tick_into(snapshot);
+  plan.stage = [&](std::uint32_t e, core::ProfileSnapshot& snapshot) {
     if (migrate && oracle) {
       // Oracle places for the *coming* epoch using its truth.
       const std::size_t next = e + 1;
@@ -383,7 +277,7 @@ RunnerResult run_impl(const WorkloadFactory& factory,
       result.migrations += moved.promoted + moved.demoted;
       result.moves.merge(moved);
     }
-    if (options.slow_model == SlowMemoryModel::BadgerTrapEmulation) {
+    if (emulation) {
       // The emulation framework refreshes protection each period. Hot =
       // profiler-ranked pages stuck in slow memory.
       hot.clear();
@@ -391,9 +285,9 @@ RunnerResult run_impl(const WorkloadFactory& factory,
       sync_poison(system, trap, hot);
     }
     if (arbiter.enabled()) {
-      // Feed per-tenant hitrates back before the checkpoint below, so the
-      // arbiter's saved image — and its exported telemetry — includes this
-      // epoch on a resume.
+      // Feed per-tenant hitrates back before the epoch's checkpoint, so
+      // the arbiter's saved image — and its exported telemetry — includes
+      // this epoch on a resume.
       for (std::uint32_t t = 0; t < arbiter.size(); ++t) {
         arbiter.note_hitrate_bp(
             t, static_cast<std::uint64_t>(
@@ -410,87 +304,9 @@ RunnerResult run_impl(const WorkloadFactory& factory,
       }
       tier_fill_gauges[t].set(fills);
     }
-    // Record the epoch's telemetry before any checkpoint below, so the
-    // saved span ring and counters include this epoch — a resumed run
-    // replays the remaining epochs and exports identical artifacts.
-    epochs_counter.inc();
-    if (telemetry != nullptr) {
-      telemetry->span("runner.epoch", epoch_begin, system.now(),
-                      telemetry::kTidRunner);
-      telemetry->maybe_export(e + 1);
-    }
-    if (options.checkpoint.enabled() &&
-        (e + 1) % options.checkpoint.every == 0) {
-      util::ckpt::Writer w;
-      w.begin_section("meta");
-      w.put_str("runner");
-      w.put_u64(options.seed);
-      w.put_str(options.policy);
-      w.put_u8(static_cast<std::uint8_t>(options.fusion));
-      w.put_u32(options.n_epochs);
-      w.put_u64(options.ops_per_epoch);
-      w.put_u8(static_cast<std::uint8_t>(options.slow_model));
-      w.put_bool(config.sharded_engine);
-      w.put_u32(e + 1);
-      w.end_section();
-      w.begin_section("system");
-      system.save_state(w);
-      w.end_section();
-      w.begin_section("daemon");
-      daemon.save_state(w);
-      w.end_section();
-      w.begin_section("devmon");
-      daemon.driver().save_devmon_state(w);
-      w.end_section();
-      w.begin_section("stream");
-      daemon.driver().save_stream_state(w);
-      w.end_section();
-      w.begin_section("mover");
-      mover.save_state(w);
-      w.end_section();
-      w.begin_section("admission");
-      w.put_bool(mover.admission().enabled());
-      w.put_u8(static_cast<std::uint8_t>(mover.admission().config().mode));
-      if (mover.admission().enabled()) mover.admission().save_state(w);
-      w.end_section();
-      w.begin_section("tenant");
-      w.put_bool(arbiter.enabled());
-      if (arbiter.enabled()) arbiter.save_state(w);
-      w.end_section();
-      w.begin_section("policy");
-      w.put_bool(policy != nullptr);
-      if (policy) policy->save_state(w);
-      w.end_section();
-      w.begin_section("trap");
-      w.put_bool(emulation);
-      if (emulation) trap.save_state(w);
-      w.end_section();
-      w.begin_section("oracle");
-      w.put_bool(oracle);
-      if (oracle) {
-        w.put_u64(oracle_rankings.size());
-        for (const std::vector<core::PageRank>& ranking : oracle_rankings) {
-          core::save_ranking(w, ranking);
-        }
-      }
-      w.end_section();
-      w.begin_section("runner");
-      w.put_u64(result.migrations);
-      save_move_stats(w, result.moves);
-      w.end_section();
-      w.begin_section("telemetry");
-      w.put_bool(telemetry != nullptr);
-      if (telemetry != nullptr) telemetry->save_state(w);
-      w.end_section();
-      util::ckpt::Writer::save_atomic(
-          util::ckpt::checkpoint_path(options.checkpoint.dir,
-                                      options.checkpoint.basename, e + 1),
-          w.finish());
-      util::ckpt::prune(options.checkpoint.dir, options.checkpoint.basename,
-                        options.checkpoint.keep_last);
-    }
-    if (options.on_epoch) options.on_epoch(e);
-  }
+  };
+
+  run_epochs(loop, resume_path, system, daemon, plan);
 
   const std::uint64_t t1 = system.pmu().truth_total(pmu::Event::MemReadTier1);
   const std::uint64_t t2 = system.pmu().truth_total(pmu::Event::MemReadTier2);
@@ -502,7 +318,7 @@ RunnerResult run_impl(const WorkloadFactory& factory,
   result.degrade = daemon.degrade_stats();
   // The admission gate lives in the mover, not the daemon; fold its
   // throttle tally into the degradation report here.
-  result.degrade.throttled_epochs = mover.admission().throttled_epochs();
+  result.degrade.throttled_epochs = admission.throttled_epochs();
   result.process_hitrates.reserve(system.processes().size());
   for (const sim::Process* p : system.processes()) {
     result.process_hitrates.push_back(p->tier0_hitrate());
@@ -524,22 +340,41 @@ RunnerResult run_impl(const WorkloadFactory& factory,
 RunnerResult EndToEndRunner::run(const WorkloadFactory& factory,
                                  const sim::SimConfig& sim_config,
                                  const RunnerOptions& options) {
-  std::string resume = options.checkpoint.resume_from;
-  if (resume.empty() && options.checkpoint.resume_latest &&
-      !options.checkpoint.dir.empty()) {
-    resume = util::ckpt::latest_in(options.checkpoint.dir,
-                                   options.checkpoint.basename);
-  }
-  if (!resume.empty()) {
-    try {
-      return run_impl(factory, sim_config, options, resume);
-    } catch (const util::ckpt::CkptError& err) {
-      TMPROF_LOG_WARN << "runner: checkpoint '" << resume
-                      << "' rejected in section '" << err.section()
-                      << "': " << err.what() << "; starting cold";
+  sim::SimConfig config = sim_config;
+  if (options.slow_model == SlowMemoryModel::BadgerTrapEmulation) {
+    // All tiers are physically DRAM; slowness comes from injected faults.
+    config.tier2_read_ns = config.tier1_read_ns;
+    config.tier2_write_ns = config.tier1_write_ns;
+    if (!config.tiers.empty()) {
+      const mem::TierSpec fastest = config.tiers.front();
+      for (mem::TierSpec& spec : config.tiers) {
+        spec.read_latency_ns = fastest.read_latency_ns;
+        spec.write_latency_ns = fastest.write_latency_ns;
+        spec.line_transfer_ns = fastest.line_transfer_ns;
+      }
     }
   }
-  return run_impl(factory, sim_config, options, "");
+  CollectOptions loop = collect_options(options);
+  loop.checkpoint = options.checkpoint;
+  loop.on_epoch = options.on_epoch;
+  loop.telemetry = options.telemetry;
+  loop.telemetry_label = options.telemetry_label.empty()
+                             ? options.policy
+                             : options.telemetry_label;
+  RunnerResult result;
+  resume_or_cold("runner", loop, config,
+                 [&](const sim::SimConfig& engine_config,
+                     const std::string& path) {
+                   result = run_impl(factory, engine_config, options, loop,
+                                     path);
+                 });
+  return result;
+}
+
+RunnerResult EndToEndRunner::run(const workloads::WorkloadSpec& spec,
+                                 const sim::SimConfig& sim_config,
+                                 const RunnerOptions& options) {
+  return run(spec_factory(spec), sim_config, options);
 }
 
 }  // namespace tmprof::tiering

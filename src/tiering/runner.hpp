@@ -50,7 +50,8 @@ struct RunnerOptions {
   /// --fault-seed and --fault-sites on the benches.
   util::FaultConfig fault{};
   /// Periodic checkpointing and resume (docs/RECOVERY.md). A rejected
-  /// resume file logs the bad section and falls back to a cold start.
+  /// resume file logs the bad section and falls back to the next-older
+  /// retained checkpoint (with resume_latest), then to a cold start.
   util::ckpt::Options checkpoint{};
   /// Called after each completed epoch (chaos harness kill hook).
   std::function<void(std::uint32_t)> on_epoch;

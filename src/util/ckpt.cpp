@@ -310,37 +310,35 @@ std::string checkpoint_path(const std::string& dir, const std::string& basename,
   return dir + "/" + basename + "-e" + buf + kExtension;
 }
 
-std::string latest_in(const std::string& dir, const std::string& basename) {
+std::vector<std::string> checkpoints_in(const std::string& dir,
+                                        const std::string& basename) {
   std::error_code ec;
-  std::uint32_t best_epoch = 0;
-  std::string best;
+  std::vector<std::pair<std::uint32_t, std::string>> found;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     std::uint32_t epoch = 0;
-    const std::string filename = entry.path().filename().string();
-    if (!parse_epoch(filename, basename, &epoch)) continue;
-    if (best.empty() || epoch > best_epoch) {
-      best_epoch = epoch;
-      best = entry.path().string();
+    if (parse_epoch(entry.path().filename().string(), basename, &epoch)) {
+      found.emplace_back(epoch, entry.path().string());
     }
   }
-  return best;
+  std::sort(found.begin(), found.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+  std::vector<std::string> paths;
+  paths.reserve(found.size());
+  for (auto& [epoch, path] : found) paths.push_back(std::move(path));
+  return paths;
+}
+
+std::string latest_in(const std::string& dir, const std::string& basename) {
+  const std::vector<std::string> paths = checkpoints_in(dir, basename);
+  return paths.empty() ? std::string() : paths.front();
 }
 
 void prune(const std::string& dir, const std::string& basename,
            std::uint32_t keep_last) {
+  const std::vector<std::string> paths = checkpoints_in(dir, basename);
   std::error_code ec;
-  std::vector<std::pair<std::uint32_t, std::filesystem::path>> found;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    std::uint32_t epoch = 0;
-    if (parse_epoch(entry.path().filename().string(), basename, &epoch)) {
-      found.emplace_back(epoch, entry.path());
-    }
-  }
-  if (found.size() <= keep_last) return;
-  std::sort(found.begin(), found.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  for (std::size_t i = keep_last; i < found.size(); ++i) {
-    std::filesystem::remove(found[i].second, ec);
+  for (std::size_t i = keep_last; i < paths.size(); ++i) {
+    std::filesystem::remove(paths[i], ec);
   }
 }
 

@@ -179,6 +179,10 @@ struct Options {
                                           const std::string& basename,
                                           std::uint32_t epoch);
 
+/// Every checkpoint in `dir` matching `basename`, newest epoch first.
+[[nodiscard]] std::vector<std::string> checkpoints_in(
+    const std::string& dir, const std::string& basename);
+
 /// Highest-epoch checkpoint in `dir` matching `basename`, or "" if none.
 [[nodiscard]] std::string latest_in(const std::string& dir,
                                     const std::string& basename);
