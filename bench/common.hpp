@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/hotness.hpp"
-#include "core/stream.hpp"
 #include "monitors/devmon.hpp"
 #include "monitors/ibs.hpp"
 #include "sim/config.hpp"
@@ -96,47 +95,6 @@ inline core::HotnessConfig hotness_from_args(const util::ArgParser& args) {
   hotness.candidates = static_cast<std::uint32_t>(
       args.get_u64("sketch-candidates", hotness.candidates));
   return hotness;
-}
-
-/// Streaming-transport selection shared by the benches (docs/STREAMING.md):
-///   --stream=0|1        lock-free streaming sample transport (default off)
-///   --stream-ring=N     per-lane ring capacity (power of two >= 2)
-///   --stream-topk=N     advisory top-K maintained between barriers (>= 1)
-///   --stream-decay=N    heat decay shift at each epoch seal (>= 64 clears)
-/// Streaming requires the sharded engine and the exact hotness front-end;
-/// invalid combinations are rejected here, naming the flag, instead of
-/// surfacing as a precondition failure deep in the driver.
-inline core::StreamConfig stream_from_args(const util::ArgParser& args,
-                                           std::uint32_t n_threads,
-                                           const core::HotnessConfig& hotness) {
-  core::StreamConfig stream;
-  stream.enabled = args.get_bool("stream", false);
-  stream.ring_capacity = static_cast<std::uint32_t>(
-      args.get_u64("stream-ring", stream.ring_capacity));
-  if (stream.ring_capacity < 2 ||
-      (stream.ring_capacity & (stream.ring_capacity - 1)) != 0) {
-    throw std::invalid_argument(
-        "--stream-ring: ring capacity must be a power of two >= 2");
-  }
-  stream.top_k =
-      static_cast<std::uint32_t>(args.get_u64("stream-topk", stream.top_k));
-  if (stream.top_k == 0) {
-    throw std::invalid_argument(
-        "--stream-topk: the advisory top-K must be >= 1");
-  }
-  stream.decay_shift = static_cast<std::uint32_t>(
-      args.get_u64("stream-decay", stream.decay_shift));
-  if (stream.enabled && n_threads == 0) {
-    throw std::invalid_argument(
-        "--stream: streaming needs the sharded engine's per-core lanes; "
-        "pass --threads=N with N >= 1");
-  }
-  if (stream.enabled && hotness.mode != core::HotnessMode::Exact) {
-    throw std::invalid_argument(
-        "--stream: streaming requires --hotness=exact (conservative-update "
-        "sketches are add-order sensitive)");
-  }
-  return stream;
 }
 
 /// Fault-injection selection shared by the benches (docs/ROBUSTNESS.md):

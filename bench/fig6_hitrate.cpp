@@ -18,8 +18,6 @@
 ///        [--metrics-out=F] [--trace-out=F] [--telemetry-every=N]
 ///        [--hotness=exact|sketch] [--sketch-width=N] [--sketch-depth=N]
 ///        [--sketch-seed=N] [--sketch-candidates=N] [--bloom-bits=N]
-///        [--stream=0|1] [--stream-ring=N] [--stream-topk=N]
-///        [--stream-decay=N]
 
 #include <array>
 #include <fstream>
@@ -69,8 +67,6 @@ int main(int argc, char** argv) {
   const std::uint32_t threads = bench::selected_threads(args);
   const util::FaultConfig fault = bench::fault_from_args(args);
   const core::HotnessConfig hotness = bench::hotness_from_args(args);
-  const core::StreamConfig stream =
-      bench::stream_from_args(args, threads, hotness);
   const util::ckpt::Options checkpoint = bench::checkpoint_from_args(args);
   const std::unique_ptr<telemetry::Telemetry> telemetry =
       bench::telemetry_from_args(args);
@@ -107,7 +103,6 @@ int main(int argc, char** argv) {
     collect.seed = seed;
     collect.daemon.driver.ibs = bench::scaled_ibs(4);
     collect.daemon.driver.hotness = hotness;
-    collect.daemon.driver.stream = stream;
     if (args.get("backend", "ibs") == "pebs") {
       // Intel testbeds use PEBS armed on LLC misses instead of IBS; the
       // driver is backend-agnostic, so Fig. 6 can be regenerated per

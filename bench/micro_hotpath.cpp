@@ -32,20 +32,9 @@
 /// acceptance point is >= 95% top-64 overlap at <= 1/8 of the exact
 /// store's bytes.
 ///
-/// A fifth section (`ring_transport`, docs/STREAMING.md) compares the
-/// barrier-critical-path merge time of the two sample handoffs, sweeping
-/// lanes x pages: `barrier` replays the swap-and-clear protocol (all lane
-/// buffers merge + top-K build inside the barrier), `stream` pushes the
-/// same records through per-lane SpscRings with an interleaved pump (the
-/// work that overlaps shard execution in the real engine, so it is
-/// untimed) and times only the drain-and-seal residue. Both engines
-/// produce the identical top-K (checksummed); rows land in the JSON as a
-/// `ring_transport` array with `ring_speedups` ratios. The acceptance bar
-/// is >= 1.5x at 8 lanes.
-///
 /// Usage: micro_hotpath [--engine=flat|std|both] [--epochs=N]
 ///        [--touches-per-page=N] [--step-ops=N] [--sketch-sweep=0|1]
-///        [--ring-sweep=0|1] [--out=BENCH_hotpath.json]
+///        [--out=BENCH_hotpath.json]
 
 #include <algorithm>
 #include <chrono>
@@ -63,10 +52,7 @@
 #include "common.hpp"
 #include "core/hotness.hpp"
 #include "core/ranking.hpp"
-#include "core/stream.hpp"
-#include "monitors/event.hpp"
 #include "sim/system.hpp"
-#include "util/ring.hpp"
 #include "tiering/epoch.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -419,172 +405,9 @@ AccuracyRow run_sketch_accuracy(std::uint64_t pages, std::uint32_t width,
 }
 
 // ---------------------------------------------------------------------------
-// Section 5: ring transport — barrier-critical-path merge time
-// (docs/STREAMING.md).
-
-struct RingRow {
-  std::string engine;  ///< "barrier" | "stream"
-  std::uint64_t lanes = 0;
-  std::uint64_t pages = 0;
-  std::uint64_t records = 0;       ///< per epoch, all lanes
-  double barrier_seconds = 0.0;    ///< summed barrier time over epochs
-  double ns_per_record = 0.0;      ///< barrier time per produced record
-  std::uint64_t checksum = 0;      ///< top-K content; must match per config
-};
-
-/// Per-lane record streams, the shape a sharded step leaves behind: each
-/// lane's content is a pure function of (lane, pages), like the per-core
-/// RNG streams in the monitors.
-std::vector<std::vector<core::PageKey>> make_lane_streams(
-    std::uint64_t lanes, std::uint64_t pages, std::uint64_t per_lane) {
-  std::vector<std::vector<core::PageKey>> streams(lanes);
-  for (std::uint64_t l = 0; l < lanes; ++l) {
-    util::Rng rng(0x5eedULL * (l + 1) + pages);
-    std::vector<core::PageKey>& s = streams[l];
-    s.reserve(per_lane);
-    const std::uint64_t hot = std::max<std::uint64_t>(1, pages / 8);
-    for (std::uint64_t i = 0; i < per_lane; ++i) {
-      const std::uint64_t page =
-          (i % 2 == 0) ? rng.below(hot) : rng.below(pages);
-      s.push_back(core::PageKey{1 + static_cast<mem::Pid>(page % 4),
-                                page * mem::kPageSize});
-    }
-  }
-  return streams;
-}
-
-/// Top-K of the merged counts under (count desc, key asc) — the barrier
-/// model of build_ranking_topk_into — folded into a content checksum.
-std::uint64_t topk_checksum(
-    const core::PageCountMap& counts, std::size_t k,
-    std::vector<std::pair<std::uint64_t, core::PageKey>>& scratch) {
-  scratch.clear();
-  scratch.reserve(counts.size());
-  for (const auto& [key, count] : counts) scratch.emplace_back(count, key);
-  const auto stronger = [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;
-  };
-  if (scratch.size() > k) {
-    std::nth_element(scratch.begin(),
-                     scratch.begin() + static_cast<std::ptrdiff_t>(k),
-                     scratch.end(), stronger);
-    scratch.resize(k);
-  }
-  std::sort(scratch.begin(), scratch.end(), stronger);
-  std::uint64_t sum = 0;
-  for (const auto& [count, key] : scratch) sum += count * (key.page_va | 1);
-  return sum;
-}
-
-/// Swap-and-clear baseline: production appends to per-lane buffers (cheap,
-/// overlapped with shard execution — untimed); the barrier then does ALL
-/// the merge work: drain every lane in ascending order into the count map
-/// and build the top-K. That serial span is what the streaming transport
-/// removes.
-RingRow run_ring_barrier(std::uint64_t lanes, std::uint64_t pages,
-                         std::uint64_t epochs,
-                         const std::vector<std::vector<core::PageKey>>& streams,
-                         std::size_t k) {
-  core::PageCountMap current;
-  core::PageCountMap closed;
-  std::vector<std::pair<std::uint64_t, core::PageKey>> scratch;
-  RingRow row{"barrier", lanes, pages, 0, 0.0, 0.0, 0};
-  for (const auto& s : streams) row.records += s.size();
-  for (std::uint64_t e = 0; e < epochs + 1; ++e) {
-    const auto start = Clock::now();
-    for (const std::vector<core::PageKey>& lane : streams) {
-      for (const core::PageKey& key : lane) current[key] += 1;
-    }
-    const std::uint64_t sum = topk_checksum(current, k, scratch);
-    closed.swap(current);
-    current.clear();
-    if (e == 0) continue;  // untimed warmup epoch: buffers sized
-    row.barrier_seconds += seconds_since(start);
-    row.checksum += sum;
-  }
-  row.ns_per_record = row.barrier_seconds * 1e9 /
-                      static_cast<double>(row.records * epochs);
-  return row;
-}
-
-/// Streaming transport: the same records flow through per-lane SpscRings
-/// with the consumer pumping every half-capacity round — map merge and
-/// incremental top-K maintenance happen during production, which in the
-/// real engine runs on the main thread while worker shards execute
-/// (System::set_step_pump), so that span is untimed here. The timed span
-/// is the drain-and-seal: residual ring tail, ranking read, decay + heap
-/// rebuild, swap-and-clear.
-RingRow run_ring_stream(std::uint64_t lanes, std::uint64_t pages,
-                        std::uint64_t epochs,
-                        const std::vector<std::vector<core::PageKey>>& streams,
-                        std::size_t k) {
-  constexpr std::uint32_t kRingCapacity = 1024;
-  std::vector<std::unique_ptr<util::SpscRing<monitors::StreamRecord>>> rings;
-  rings.reserve(lanes);
-  for (std::uint64_t l = 0; l < lanes; ++l) {
-    rings.push_back(std::make_unique<util::SpscRing<monitors::StreamRecord>>(
-        kRingCapacity));
-  }
-  // decay_shift 64: per-epoch top-K only, matching the barrier model.
-  core::StreamRanker ranker(static_cast<std::uint32_t>(k), 64);
-  core::PageCountMap current;
-  core::PageCountMap closed;
-  std::vector<core::PageRank> rank_out;
-
-  std::uint64_t per_lane = 0;
-  for (const auto& s : streams) per_lane = std::max(per_lane, s.size());
-
-  const auto consume = [&](const monitors::StreamRecord& rec) {
-    const core::PageKey key{static_cast<mem::Pid>(rec.c), rec.a};
-    current[key] += 1;
-    ranker.add(key, 1);
-  };
-  const auto pump = [&] {
-    for (auto& ring : rings) ring->drain(consume);
-  };
-
-  RingRow row{"stream", lanes, pages, 0, 0.0, 0.0, 0};
-  for (const auto& s : streams) row.records += s.size();
-  for (std::uint64_t e = 0; e < epochs + 1; ++e) {
-    // Production + opportunistic pump: untimed (overlaps shard execution).
-    std::uint32_t seq = 0;
-    for (std::uint64_t i = 0; i < per_lane; ++i) {
-      for (std::uint64_t l = 0; l < lanes; ++l) {
-        if (i >= streams[l].size()) continue;
-        monitors::StreamRecord rec;
-        rec.a = streams[l][i].page_va;
-        rec.c = streams[l][i].pid;
-        rec.seq = seq;
-        rec.lane = static_cast<std::uint16_t>(l);
-        if (!rings[l]->try_push(rec)) consume(rec);  // spill: fold inline
-      }
-      ++seq;
-      if (seq % (kRingCapacity / 2) == 0) pump();
-    }
-    // Drain-and-seal: the only work left on the barrier critical path.
-    const auto start = Clock::now();
-    pump();
-    ranker.ranking_into(rank_out);
-    std::uint64_t sum = 0;
-    for (const core::PageRank& r : rank_out) sum += r.rank * (r.key.page_va | 1);
-    ranker.seal();
-    closed.swap(current);
-    current.clear();
-    if (e == 0) continue;
-    row.barrier_seconds += seconds_since(start);
-    row.checksum += sum;
-  }
-  row.ns_per_record = row.barrier_seconds * 1e9 /
-                      static_cast<double>(row.records * epochs);
-  return row;
-}
-
-// ---------------------------------------------------------------------------
 
 void write_json(const std::string& path, const std::vector<Row>& rows,
-                const std::vector<AccuracyRow>& accuracy,
-                const std::vector<RingRow>& ring_rows) {
+                const std::vector<AccuracyRow>& accuracy) {
   std::ofstream os(path);
   if (!os) {
     std::cerr << "micro_hotpath: cannot open " << path << "\n";
@@ -629,32 +452,7 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
        << ", \"bytes_per_page\": " << a.bytes_per_page << "}"
        << (i + 1 < accuracy.size() ? "," : "") << "\n";
   }
-  os << "  ],\n  \"ring_transport\": [\n";
-  for (std::size_t i = 0; i < ring_rows.size(); ++i) {
-    const RingRow& r = ring_rows[i];
-    os << "    {\"engine\": \"" << r.engine << "\", \"lanes\": " << r.lanes
-       << ", \"pages\": " << r.pages << ", \"records\": " << r.records
-       << ", \"barrier_seconds\": " << r.barrier_seconds
-       << ", \"ns_per_record\": " << r.ns_per_record << "}"
-       << (i + 1 < ring_rows.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"ring_speedups\": [\n";
-  bool ring_first = true;
-  for (const RingRow& base : ring_rows) {
-    if (base.engine != "barrier") continue;
-    for (const RingRow& stream : ring_rows) {
-      if (stream.engine != "stream" || stream.lanes != base.lanes ||
-          stream.pages != base.pages) {
-        continue;
-      }
-      if (!ring_first) os << ",\n";
-      ring_first = false;
-      os << "    {\"lanes\": " << base.lanes << ", \"pages\": " << base.pages
-         << ", \"barrier_over_stream\": "
-         << base.barrier_seconds / stream.barrier_seconds << "}";
-    }
-  }
-  os << "\n  ]\n}\n";
+  os << "  ]\n}\n";
 }
 
 }  // namespace
@@ -670,7 +468,6 @@ int main(int argc, char** argv) {
   const std::uint64_t touches = args.get_u64("touches-per-page", 4);
   const std::uint64_t step_ops = args.get_u64("step-ops", 2'000'000);
   const bool sketch_sweep = args.get_bool("sketch-sweep", true);
-  const bool ring_sweep = args.get_bool("ring-sweep", true);
   const std::string out_path = args.get("out", "BENCH_hotpath.json");
   const bool run_flat = engine != "std";
   const bool run_std = engine != "flat";
@@ -758,58 +555,7 @@ int main(int argc, char** argv) {
               << "x exact bytes (accept: >= 0.95 at <= 0.125)\n";
   }
 
-  std::vector<RingRow> ring_rows;
-  if (ring_sweep) {
-    // Lanes x pages grid; K and the per-lane record count follow the
-    // streaming defaults (StreamConfig::top_k, a few ring-fills per lane).
-    constexpr std::size_t kTopK = 256;
-    constexpr std::uint64_t kPerLane = 16384;
-    for (const std::uint64_t lanes : {2ULL, 4ULL, 8ULL}) {
-      for (const std::uint64_t pages : {4096ULL, 16384ULL}) {
-        const auto streams = make_lane_streams(lanes, pages, kPerLane);
-        ring_rows.push_back(
-            run_ring_barrier(lanes, pages, epochs, streams, kTopK));
-        ring_rows.push_back(
-            run_ring_stream(lanes, pages, epochs, streams, kTopK));
-        const RingRow& base = ring_rows[ring_rows.size() - 2];
-        const RingRow& stream = ring_rows.back();
-        if (base.checksum != stream.checksum) {
-          std::cerr << "ring_transport: checksum mismatch at " << lanes
-                    << " lanes / " << pages << " pages (" << base.checksum
-                    << " vs " << stream.checksum << ")\n";
-          return 1;
-        }
-      }
-    }
-    util::TextTable ring_table(
-        {"lanes", "pages", "engine", "records", "barrier ns/rec"});
-    for (const RingRow& r : ring_rows) {
-      ring_table.add_row({std::to_string(r.lanes), std::to_string(r.pages),
-                          r.engine, std::to_string(r.records),
-                          std::to_string(r.ns_per_record)});
-    }
-    std::cout << "ring_transport: barrier-critical-path merge time "
-              << "(swap-and-clear vs streaming drain-and-seal):\n"
-              << ring_table.to_string() << "\n";
-    double headline = 0.0;
-    for (const RingRow& base : ring_rows) {
-      if (base.engine != "barrier") continue;
-      for (const RingRow& stream : ring_rows) {
-        if (stream.engine != "stream" || stream.lanes != base.lanes ||
-            stream.pages != base.pages) {
-          continue;
-        }
-        const double speedup = base.barrier_seconds / stream.barrier_seconds;
-        std::cout << "  " << base.lanes << " lanes @" << base.pages
-                  << " pages: " << speedup << "x\n";
-        if (base.lanes == 8) headline = std::max(headline, speedup);
-      }
-    }
-    std::cout << "headline: " << headline
-              << "x barrier-time reduction at 8 lanes (accept: >= 1.5)\n";
-  }
-
-  write_json(out_path, rows, accuracy, ring_rows);
+  write_json(out_path, rows, accuracy);
   std::cout << "\nwrote " << out_path << "\n";
   return 0;
 }

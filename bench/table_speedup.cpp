@@ -24,8 +24,7 @@
 ///        [--fault-sites=a,b] [--csv=0|1] [--checkpoint-every=N]
 ///        [--checkpoint-dir=D] [--resume-from=F] [--resume-latest=0|1]
 ///        [--keep-last=K] [--metrics-out=F] [--trace-out=F]
-///        [--telemetry-every=N] [--stream=0|1] [--stream-ring=N]
-///        [--stream-topk=N] [--stream-decay=N]
+///        [--telemetry-every=N]
 
 #include <iostream>
 #include <memory>
@@ -97,8 +96,6 @@ int main(int argc, char** argv) {
     opt.badgertrap.hot_extra_latency_ns = scaled_ns(13.0);
     opt.badgertrap.handler_cost_ns = scaled_ns(1.0);
     opt.n_threads = bench::selected_threads(args);
-    opt.daemon.driver.stream =
-        bench::stream_from_args(args, opt.n_threads, opt.daemon.driver.hotness);
     opt.fault = fault;
     opt.telemetry = telemetry.get();
 

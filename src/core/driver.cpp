@@ -1,7 +1,6 @@
 #include "core/driver.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "telemetry/telemetry.hpp"
 #include "util/assert.hpp"
@@ -56,33 +55,6 @@ TmpDriver::TmpDriver(sim::System& system, const DriverConfig& config)
     if (system.config().sharded_engine) devmon_->enable_sharded();
     system_.add_observer(devmon_.get());
   }
-  if (config_.stream.enabled) {
-    // The whole point is overlapping consumption with shard execution; the
-    // per-lane record identity also leans on the monitors' per-core lanes.
-    TMPROF_EXPECTS(system.config().sharded_engine);
-    // Conservative-update sketches are add-order sensitive; the pump's
-    // scheduling-dependent interleaving would break bitwise invariance.
-    TMPROF_EXPECTS(config_.hotness.mode == HotnessMode::Exact);
-    stream_ = std::make_unique<StreamTransport>(config_.stream,
-                                                system.config().cores);
-    stream_ranker_.configure(config_.stream.top_k, config_.stream.decay_shift);
-    std::vector<util::SpscRing<monitors::StreamRecord>*> rings;
-    rings.reserve(stream_->trace_lanes());
-    for (std::uint32_t c = 0; c < stream_->trace_lanes(); ++c) {
-      rings.push_back(&stream_->ring(c));
-    }
-    // Ring-full overflow flushes through the same fold as ring records; the
-    // spill runs on the main thread at drain time, so this is shard-safe.
-    auto spill = [this](std::span<const monitors::StreamRecord> records) {
-      for (const monitors::StreamRecord& rec : records) consume_record(rec);
-    };
-    if (ibs_) {
-      ibs_->enable_streaming(std::move(rings), spill);
-    } else {
-      pebs_->enable_streaming(std::move(rings), spill);
-    }
-    system_.set_step_pump([this] { pump_stream(); });
-  }
   scanner_.set_shootdown(
       [this](mem::Pid pid, mem::VirtAddr page_va, mem::PageSize size) {
         return system_.shootdown(pid, page_va, size);
@@ -91,7 +63,6 @@ TmpDriver::TmpDriver(sim::System& system, const DriverConfig& config)
 }
 
 TmpDriver::~TmpDriver() {
-  if (stream_) system_.set_step_pump(nullptr);
   set_trace_enabled(false);
   if (pml_) system_.remove_observer(pml_.get());
   if (devmon_) system_.remove_observer(devmon_.get());
@@ -112,10 +83,6 @@ void TmpDriver::set_telemetry(telemetry::Telemetry* telemetry) {
     t_devmon_reported_ = {};
     t_devmon_evictions_ = {};
     t_devmon_occupied_.clear();
-    t_stream_depth_ = {};
-    t_stream_drops_ = {};
-    t_stream_seal_ns_ = {};
-    t_stream_records_ = {};
     return;
   }
   telemetry::MetricsRegistry& m = telemetry->metrics();
@@ -139,14 +106,6 @@ void TmpDriver::set_telemetry(telemetry::Telemetry* telemetry) {
       t_devmon_occupied_.push_back(
           m.gauge("devmon_tier" + std::to_string(t) + "_occupied"));
     }
-  }
-  if (stream_) {
-    // Registered only when streaming is on so off-mode exports stay
-    // byte-identical to the pre-streaming format.
-    t_stream_depth_ = m.gauge("stream_ring_depth");
-    t_stream_drops_ = m.counter("stream_ring_drops_total");
-    t_stream_seal_ns_ = m.gauge("stream_seal_ns");
-    t_stream_records_ = m.counter("stream_records_total");
   }
 }
 
@@ -190,74 +149,6 @@ void TmpDriver::on_trace(std::span<const monitors::TraceSample> samples) {
   }
 }
 
-void TmpDriver::consume_record(const monitors::StreamRecord& rec) {
-  ++stream_records_;
-  switch (rec.kind) {
-    case monitors::StreamKind::Trace: {
-      if (config_.trace_loads_only && monitors::trace_record_is_store(rec)) {
-        return;
-      }
-      if (config_.trace_memory_only &&
-          !mem::is_memory(monitors::trace_record_source(rec))) {
-        return;
-      }
-      const mem::Pfn pfn = mem::pfn_of(rec.a);
-      const mem::FrameInfo& frame = system_.phys().frame(pfn);
-      if (!frame.allocated) return;
-      const PageKey key{frame.pid, frame.page_va};
-      if (fault_ != nullptr &&
-          fault_->enabled(util::FaultSite::TraceOverflow)) {
-        // The barrier path keys overflow drops by per-page occurrence; that
-        // index would depend on how far the pump has run. Streaming keys on
-        // the record's own (epoch, lane, seq) identity — fixed at encode
-        // time, so the drop set is invariant to consumption scheduling.
-        const std::uint64_t fkey = util::fault_key(
-            epoch_ | (static_cast<std::uint64_t>(rec.seq) << 32),
-            0x57a3 ^ (static_cast<std::uint64_t>(rec.lane) << 16),
-            key.page_va);
-        if (fault_->fire(util::FaultSite::TraceOverflow, fkey)) {
-          ++trace_samples_dropped_;
-          t_dropped_.inc();
-          return;
-        }
-      }
-      cur_trace_.add(key);
-      store_.record_trace(pfn, epoch_);
-      cumulative_trace_4k_.add(pfn);
-      ++trace_samples_kept_;
-      t_kept_.inc();
-      stream_ranker_.add(key, 1);
-      return;
-    }
-    case monitors::StreamKind::Abit: {
-      const PageKey key{static_cast<mem::Pid>(rec.c), rec.a};
-      cur_abit_.add(key);
-      store_.record_abit(rec.b, epoch_);
-      cumulative_abit_.add(key);
-      stream_ranker_.add(key, 1);
-      return;
-    }
-    case monitors::StreamKind::Dev: {
-      // phys_to_page(), as in on_devmon: a frame freed since it was counted
-      // no longer names a page on this device.
-      const mem::FrameInfo& frame = system_.phys().frame(rec.a);
-      if (!frame.allocated) return;
-      const PageKey key{frame.pid, frame.page_va};
-      cur_devmon_[key] += static_cast<std::uint32_t>(rec.b);
-      stream_ranker_.add(key, rec.b);
-      return;
-    }
-  }
-}
-
-void TmpDriver::pump_stream() {
-  StreamTransport& transport = *stream_;
-  for (std::uint32_t lane = 0; lane < transport.lanes(); ++lane) {
-    transport.ring(lane).drain(
-        [this](const monitors::StreamRecord& rec) { consume_record(rec); });
-  }
-}
-
 monitors::AbitScanResult TmpDriver::scan_processes(
     const std::vector<mem::Pid>& pids) {
   monitors::AbitScanResult total;
@@ -276,21 +167,6 @@ monitors::AbitScanResult TmpDriver::scan_processes(
     sim::Process& proc = system_.process(pid);
     const monitors::AbitScanResult r = scanner_.scan_fn(
         pid, proc.page_table(), [&](const monitors::AbitSample& sample) {
-          if (stream_) {
-            // The scanner runs on the consumer's own thread, so a full ring
-            // just means "fold inline" — same result, no spill vector.
-            monitors::StreamRecord rec;
-            rec.a = sample.page_va;
-            rec.b = sample.pfn;
-            rec.c = pid;
-            rec.seq = abit_seq_++;
-            rec.lane = static_cast<std::uint16_t>(stream_->abit_lane());
-            rec.kind = monitors::StreamKind::Abit;
-            if (!stream_->ring(stream_->abit_lane()).try_push(rec)) {
-              consume_record(rec);
-            }
-            return;
-          }
           const PageKey key{pid, sample.page_va};
           cur_abit_.add(key);
           store_.record_abit(sample.pfn, epoch_);
@@ -323,24 +199,6 @@ void TmpDriver::on_pml(std::span<const mem::PhysAddr> addresses) {
 
 void TmpDriver::on_devmon(
     std::span<const monitors::DevMonReportEntry> report) {
-  if (stream_) {
-    // Route the report through the device lane so every sample source
-    // reaches the epoch through the same transport and record accounting.
-    // Producer and consumer are both the main thread here; ring-full folds
-    // inline.
-    for (const monitors::DevMonReportEntry& e : report) {
-      monitors::StreamRecord rec;
-      rec.a = e.pfn;
-      rec.b = e.count;
-      rec.seq = dev_seq_++;
-      rec.lane = static_cast<std::uint16_t>(stream_->dev_lane());
-      rec.kind = monitors::StreamKind::Dev;
-      if (!stream_->ring(stream_->dev_lane()).try_push(rec)) {
-        consume_record(rec);
-      }
-    }
-    return;
-  }
   for (const monitors::DevMonReportEntry& e : report) {
     // phys_to_page(): the device counts physical frames; the driver maps
     // them back to page identity. A frame freed (or migrated away) since
@@ -360,38 +218,11 @@ EpochObservation TmpDriver::end_epoch() {
 }
 
 void TmpDriver::end_epoch_into(EpochObservation& out) {
-  const auto seal_start = std::chrono::steady_clock::now();
-  // Pull any buffered samples into this epoch before closing it. In
-  // streaming mode this is the drain-and-seal: most records were already
-  // folded by the mid-step pump, so only the residual ring tail, the
-  // ring-full spills, and the DevMon report (which routes through the
-  // device lane) remain.
-  if (stream_) pump_stream();
+  // Pull any buffered samples into this epoch before closing it.
   if (ibs_) ibs_->drain();
   if (pebs_) pebs_->drain();
   if (pml_) pml_->drain();
   if (devmon_) devmon_->drain();
-  if (stream_) {
-    pump_stream();  // the device lane (and any A-bit tail) just filled
-    stream_ranker_.seal();
-    if (ibs_) ibs_->stream_epoch_reset();
-    if (pebs_) pebs_->stream_epoch_reset();
-    abit_seq_ = 0;
-    dev_seq_ = 0;
-    t_stream_depth_.set(stream_->high_water());
-    stream_->reset_high_water();
-    const std::uint64_t drops = stream_->drops_total();
-    t_stream_drops_.add(drops - stream_drops_exported_);
-    stream_drops_exported_ = drops;
-    t_stream_records_.add(stream_records_ - stream_records_exported_);
-    stream_records_exported_ = stream_records_;
-    // Wall-clock (not sim-time) cost of the drain-and-seal: this gauge is
-    // observational and excluded from byte-identity claims.
-    t_stream_seal_ns_.set(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - seal_start)
-            .count()));
-  }
   out.epoch = epoch_;
   // Exact mode swaps the accumulator maps out, adopting out's previous
   // buffers — the same two-buffer protocol the swap-based path used.
@@ -482,57 +313,14 @@ void TmpDriver::load_state(util::ckpt::Reader& r) {
   cumulative_abit_.load_state(r, "driver");
 }
 
-void TmpDriver::stream_ranking(std::vector<PageRank>& out) const {
-  if (!stream_) {
-    out.clear();
-    return;
-  }
-  stream_ranker_.ranking_into(out);
-}
-
 void TmpDriver::save_stream_state(util::ckpt::Writer& w) const {
-  w.put_bool(stream_ != nullptr);
-  if (!stream_) return;
-  w.put_u32(stream_->config().ring_capacity);
-  w.put_u32(stream_->trace_lanes());
-  w.put_u32(stream_->config().top_k);
-  w.put_u32(stream_->config().decay_shift);
-  w.put_u64(stream_records_);
-  w.put_u64(stream_->drops_total());
-  w.put_u64(stream_drops_exported_);
-  w.put_u64(stream_records_exported_);
-  w.put_u32(abit_seq_);
-  w.put_u32(dev_seq_);
-  stream_ranker_.save_state(w);
+  w.put_bool(false);
 }
 
 void TmpDriver::load_stream_state(util::ckpt::Reader& r) {
-  const bool has_stream = r.get_bool();
-  if (has_stream != (stream_ != nullptr)) {
+  if (r.get_bool()) {
     throw util::ckpt::CkptError("stream", "streaming presence mismatch");
   }
-  if (!stream_) return;
-  const std::uint32_t ring_capacity = r.get_u32();
-  const std::uint32_t lanes = r.get_u32();
-  if (ring_capacity != stream_->config().ring_capacity ||
-      lanes != stream_->trace_lanes()) {
-    throw util::ckpt::CkptError("stream", "transport geometry mismatch");
-  }
-  const std::uint32_t top_k = r.get_u32();
-  const std::uint32_t decay_shift = r.get_u32();
-  if (top_k != stream_->config().top_k ||
-      decay_shift != stream_->config().decay_shift) {
-    throw util::ckpt::CkptError("stream", "ranker geometry mismatch");
-  }
-  stream_records_ = r.get_u64();
-  // Checkpoints land at sealed barriers, so live rings are empty; the drop
-  // tally carries over as a base the fresh (zeroed) ring counters add to.
-  stream_->set_carried_drops(r.get_u64());
-  stream_drops_exported_ = r.get_u64();
-  stream_records_exported_ = r.get_u64();
-  abit_seq_ = r.get_u32();
-  dev_seq_ = r.get_u32();
-  stream_ranker_.load_state(r);
 }
 
 void TmpDriver::save_devmon_state(util::ckpt::Writer& w) const {

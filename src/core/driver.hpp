@@ -17,7 +17,6 @@
 #include "core/hotness.hpp"
 #include "core/page_stats.hpp"
 #include "core/ranking.hpp"
-#include "core/stream.hpp"
 #include "monitors/abit.hpp"
 #include "monitors/devmon.hpp"
 #include "monitors/ibs.hpp"
@@ -59,13 +58,6 @@ struct DriverConfig {
   /// bit-exact behavior) or the count-min-sketch store (docs/SKETCH.md).
   /// Selected per run through DaemonConfig::driver.
   HotnessConfig hotness{};
-  /// Streaming sample transport + incremental top-K (docs/STREAMING.md).
-  /// Off by default; `stream.enabled` gates construction, so disabled runs
-  /// are bitwise unchanged. Requires the sharded engine and the exact
-  /// hotness front-end (conservative-update sketches are add-order
-  /// sensitive, which the pump's scheduling-dependent interleaving would
-  /// expose).
-  StreamConfig stream{};
 };
 
 /// Collects raw profiling data from the hardware monitor models.
@@ -165,28 +157,12 @@ class TmpDriver {
   void save_devmon_state(util::ckpt::Writer& w) const;
   void load_devmon_state(util::ckpt::Reader& r);
 
-  // --- streaming transport (docs/STREAMING.md) --------------------------
-  [[nodiscard]] bool streaming() const noexcept { return stream_ != nullptr; }
-  /// Advisory mid-epoch top-K over the records consumed so far, sorted
-  /// under RankOrder (streaming mode only; empty otherwise). Exact for the
-  /// consumed prefix; how far that prefix reaches depends on the pump.
-  void stream_ranking(std::vector<PageRank>& out) const;
-  /// Records folded by the consumer so far (all kinds, pre-filter).
-  [[nodiscard]] std::uint64_t stream_records_consumed() const noexcept {
-    return stream_records_;
-  }
-  /// Ring-full back-pressure events (records that took the spill path).
-  [[nodiscard]] std::uint64_t stream_ring_drops() const noexcept {
-    return stream_ ? stream_->drops_total() : 0;
-  }
-  [[nodiscard]] const StreamTransport* stream_transport() const noexcept {
-    return stream_.get();
-  }
-
-  /// Streaming checkpoint state (transport geometry, cumulative record and
-  /// drop tallies, ranker heat). Framed by the runner in its own "stream"
-  /// section; presence/geometry mismatches throw CkptError("stream", ...)
-  /// so a resume with a different stream config cold-starts.
+  /// The runner's "stream" section: a single `false`, the marker the
+  /// retired streaming transport left in the checkpoint format. Kept so
+  /// checkpoint files stay byte-identical and because perfbench's traced
+  /// loop frames the section through these calls. Loading a `true` (a
+  /// checkpoint from a streaming build) throws CkptError("stream", ...) so
+  /// the resume cold-starts.
   void save_stream_state(util::ckpt::Writer& w) const;
   void load_stream_state(util::ckpt::Reader& r);
 
@@ -194,11 +170,6 @@ class TmpDriver {
   void on_trace(std::span<const monitors::TraceSample> samples);
   void on_pml(std::span<const mem::PhysAddr> addresses);
   void on_devmon(std::span<const monitors::DevMonReportEntry> report);
-  /// Fold one stream record into the open epoch (main thread only).
-  void consume_record(const monitors::StreamRecord& rec);
-  /// Drain every lane's ring through consume_record. Runs opportunistically
-  /// from the engine's step pump and exhaustively at the epoch seal.
-  void pump_stream();
 
   sim::System& system_;
   DriverConfig config_;
@@ -241,20 +212,6 @@ class TmpDriver {
   PageCountMap overflow_seen_;
   PfnHotnessCounts cumulative_trace_4k_;
   HotnessCounts cumulative_abit_;
-  /// Streaming transport (null unless DriverConfig::stream.enabled).
-  std::unique_ptr<StreamTransport> stream_;
-  StreamRanker stream_ranker_;
-  std::uint64_t stream_records_ = 0;
-  std::uint32_t abit_seq_ = 0;  ///< next A-bit lane record seq this epoch
-  std::uint32_t dev_seq_ = 0;   ///< next DevMon lane record seq this epoch
-  telemetry::Gauge t_stream_depth_;
-  telemetry::Counter t_stream_drops_;
-  telemetry::Gauge t_stream_seal_ns_;
-  telemetry::Counter t_stream_records_;
-  /// Counter baselines so per-epoch exports add deltas of the cumulative
-  /// tallies (restored from checkpoints to keep exports monotone).
-  std::uint64_t stream_drops_exported_ = 0;
-  std::uint64_t stream_records_exported_ = 0;
 };
 
 }  // namespace tmprof::core

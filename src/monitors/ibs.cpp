@@ -33,22 +33,6 @@ void IbsMonitor::enable_sharded() {
   }
 }
 
-void IbsMonitor::enable_streaming(
-    std::vector<util::SpscRing<StreamRecord>*> rings, StreamSpillFn spill) {
-  enable_sharded();
-  TMPROF_EXPECTS(rings.size() == lanes_.size());
-  for (std::uint32_t c = 0; c < lanes_.size(); ++c) {
-    TMPROF_EXPECTS(rings[c] != nullptr);
-    lanes_[c].ring = rings[c];
-  }
-  stream_spill_ = std::move(spill);
-  streaming_ = true;
-}
-
-void IbsMonitor::stream_epoch_reset() {
-  for (CoreLane& lane : lanes_) lane.stream_seq = 0;
-}
-
 void IbsMonitor::reload(std::uint32_t core) {
   std::int64_t period = static_cast<std::int64_t>(config_.sample_period);
   if (config_.randomize) {
@@ -102,18 +86,6 @@ void IbsMonitor::on_mem_op(const MemOpEvent& event) {
   if (sharded_) {
     CoreLane& lane = lanes_[event.core];
     ++lane.samples;
-    if (streaming_) {
-      // Publish immediately; a full ring spills rather than drops, so the
-      // record set per lane is identical however the consumer is scheduled.
-      const StreamRecord rec = encode_trace_record(
-          static_cast<std::uint16_t>(event.core), lane.stream_seq++, sample);
-      if (!lane.ring->try_push(rec)) lane.spill.push_back(rec);
-      // `since_drain` stands in for buffer.size() so the PMI/overhead model
-      // charges exactly what the barrier path charges.
-      ++lane.since_drain;
-      if (lane.since_drain % config_.buffer_capacity == 0) ++lane.interrupts;
-      return;
-    }
     lane.buffer.push_back(sample);
     // The PMI fires per buffer threshold; the handler cost is charged, but
     // the records stay put until the epoch barrier drains them (the driver
@@ -130,21 +102,6 @@ void IbsMonitor::on_mem_op(const MemOpEvent& event) {
 }
 
 void IbsMonitor::drain() {
-  if (streaming_) {
-    // Records in the rings belong to the driver's pump; here we only flush
-    // what overflowed. Ascending lane order, though order is immaterial:
-    // every streaming consumer folds commutatively or keys by (lane, seq).
-    for (CoreLane& lane : lanes_) {
-      if (!lane.spill.empty()) {
-        if (stream_spill_) {
-          stream_spill_(std::span<const StreamRecord>(lane.spill));
-        }
-        lane.spill.clear();
-      }
-      lane.since_drain = 0;
-    }
-    return;
-  }
   if (sharded_) {
     for (CoreLane& lane : lanes_) {
       if (lane.buffer.empty()) continue;
@@ -205,18 +162,8 @@ void IbsMonitor::save_state(util::ckpt::Writer& w) const {
     w.put_u64(lane.tags_lost);
     w.put_u64(lane.interrupts);
   }
-  w.put_bool(streaming_);
-  if (streaming_) {
-    // Checkpoints land at sealed barriers, where spill/seq/since_drain are
-    // all zero — but serialize them anyway so the format stays honest if a
-    // mid-epoch snapshot ever appears.
-    for (const CoreLane& lane : lanes_) {
-      w.put_u64(lane.spill.size());
-      for (const StreamRecord& rec : lane.spill) save_stream_record(w, rec);
-      w.put_u32(lane.stream_seq);
-      w.put_u32(lane.since_drain);
-    }
-  }
+  // Retired streaming-transport flag, kept so the format is unchanged.
+  w.put_bool(false);
 }
 
 void IbsMonitor::load_state(util::ckpt::Reader& r) {
@@ -249,19 +196,10 @@ void IbsMonitor::load_state(util::ckpt::Reader& r) {
     lane.tags_lost = r.get_u64();
     lane.interrupts = r.get_u64();
   }
-  const bool streaming = r.get_bool();
-  if (streaming != streaming_) {
-    // Rings are wired by the driver before restore; a checkpoint from the
-    // other transport mode cannot be resumed in place.
+  if (r.get_bool()) {
+    // Written by a build with the streaming transport, which no longer
+    // exists; its ring records cannot be restored.
     throw util::ckpt::CkptError("ibs", "streaming-mode mismatch");
-  }
-  if (streaming_) {
-    for (CoreLane& lane : lanes_) {
-      lane.spill.resize(r.get_u64());
-      for (StreamRecord& rec : lane.spill) rec = load_stream_record(r);
-      lane.stream_seq = r.get_u32();
-      lane.since_drain = r.get_u32();
-    }
   }
 }
 

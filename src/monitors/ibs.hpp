@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "monitors/event.hpp"
-#include "util/ring.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -64,21 +63,6 @@ class IbsMonitor final : public AccessObserver {
   void enable_sharded();
   [[nodiscard]] bool sharded() const noexcept { return sharded_; }
 
-  /// Streaming handoff (docs/STREAMING.md): instead of accumulating samples
-  /// in the per-core buffer until the barrier, each core encodes a
-  /// StreamRecord tagged (core, seq) and pushes it into its own SPSC ring;
-  /// records that hit a full ring go to a lane-local spill vector that
-  /// `spill` flushes at drain(). Implies sharded mode. `rings[c]` must
-  /// outlive the monitor; one ring per core.
-  using StreamSpillFn = std::function<void(std::span<const StreamRecord>)>;
-  void enable_streaming(std::vector<util::SpscRing<StreamRecord>*> rings,
-                        StreamSpillFn spill);
-  [[nodiscard]] bool streaming() const noexcept { return streaming_; }
-
-  /// Restart per-core record sequence numbers (epoch seal, after every
-  /// lane's records have been consumed).
-  void stream_epoch_reset();
-
   void on_retire(std::uint32_t core, std::uint64_t uops,
                  util::SimNs now) override;
   void on_mem_op(const MemOpEvent& event) override;
@@ -113,12 +97,6 @@ class IbsMonitor final : public AccessObserver {
     std::uint64_t samples = 0;
     std::uint64_t tags_lost = 0;
     std::uint64_t interrupts = 0;
-    // Streaming mode only:
-    util::SpscRing<StreamRecord>* ring = nullptr;  ///< not owned
-    std::vector<StreamRecord> spill;  ///< ring-full overflow, never dropped
-    std::uint32_t stream_seq = 0;     ///< next record seq this epoch
-    std::uint32_t since_drain = 0;    ///< mirrors buffer.size() for the
-                                      ///< interrupt/overhead model
   };
 
   void reload(std::uint32_t core);
@@ -134,8 +112,6 @@ class IbsMonitor final : public AccessObserver {
   std::uint64_t tags_lost_ = 0;
   std::uint64_t interrupts_ = 0;
   bool sharded_ = false;
-  bool streaming_ = false;
-  StreamSpillFn stream_spill_;
   std::vector<CoreLane> lanes_;           ///< populated in sharded mode
 };
 

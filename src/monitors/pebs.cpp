@@ -21,22 +21,6 @@ void PebsMonitor::enable_sharded() {
   for (CoreLane& lane : lanes_) lane.buffer.reserve(config_.buffer_capacity);
 }
 
-void PebsMonitor::enable_streaming(
-    std::vector<util::SpscRing<StreamRecord>*> rings, StreamSpillFn spill) {
-  enable_sharded();
-  TMPROF_EXPECTS(rings.size() == lanes_.size());
-  for (std::uint32_t c = 0; c < lanes_.size(); ++c) {
-    TMPROF_EXPECTS(rings[c] != nullptr);
-    lanes_[c].ring = rings[c];
-  }
-  stream_spill_ = std::move(spill);
-  streaming_ = true;
-}
-
-void PebsMonitor::stream_epoch_reset() {
-  for (CoreLane& lane : lanes_) lane.stream_seq = 0;
-}
-
 bool PebsMonitor::qualifies(const MemOpEvent& event) const noexcept {
   switch (config_.event) {
     case PebsEvent::LlcMiss:
@@ -75,14 +59,6 @@ void PebsMonitor::on_mem_op(const MemOpEvent& event) {
   if (sharded_) {
     CoreLane& lane = lanes_[event.core];
     ++lane.samples;
-    if (streaming_) {
-      const StreamRecord rec = encode_trace_record(
-          static_cast<std::uint16_t>(event.core), lane.stream_seq++, sample);
-      if (!lane.ring->try_push(rec)) lane.spill.push_back(rec);
-      ++lane.since_drain;
-      if (lane.since_drain % config_.buffer_capacity == 0) ++lane.interrupts;
-      return;
-    }
     lane.buffer.push_back(sample);
     if (lane.buffer.size() % config_.buffer_capacity == 0) ++lane.interrupts;
     return;
@@ -96,18 +72,6 @@ void PebsMonitor::on_mem_op(const MemOpEvent& event) {
 }
 
 void PebsMonitor::drain() {
-  if (streaming_) {
-    for (CoreLane& lane : lanes_) {
-      if (!lane.spill.empty()) {
-        if (stream_spill_) {
-          stream_spill_(std::span<const StreamRecord>(lane.spill));
-        }
-        lane.spill.clear();
-      }
-      lane.since_drain = 0;
-    }
-    return;
-  }
   if (sharded_) {
     for (CoreLane& lane : lanes_) {
       if (lane.buffer.empty()) continue;
@@ -165,15 +129,8 @@ void PebsMonitor::save_state(util::ckpt::Writer& w) const {
     w.put_u64(lane.events);
     w.put_u64(lane.interrupts);
   }
-  w.put_bool(streaming_);
-  if (streaming_) {
-    for (const CoreLane& lane : lanes_) {
-      w.put_u64(lane.spill.size());
-      for (const StreamRecord& rec : lane.spill) save_stream_record(w, rec);
-      w.put_u32(lane.stream_seq);
-      w.put_u32(lane.since_drain);
-    }
-  }
+  // Retired streaming-transport flag, kept so the format is unchanged.
+  w.put_bool(false);
 }
 
 void PebsMonitor::load_state(util::ckpt::Reader& r) {
@@ -203,17 +160,10 @@ void PebsMonitor::load_state(util::ckpt::Reader& r) {
     lane.events = r.get_u64();
     lane.interrupts = r.get_u64();
   }
-  const bool streaming = r.get_bool();
-  if (streaming != streaming_) {
+  if (r.get_bool()) {
+    // Written by a build with the streaming transport, which no longer
+    // exists; its ring records cannot be restored.
     throw util::ckpt::CkptError("pebs", "streaming-mode mismatch");
-  }
-  if (streaming_) {
-    for (CoreLane& lane : lanes_) {
-      lane.spill.resize(r.get_u64());
-      for (StreamRecord& rec : lane.spill) rec = load_stream_record(r);
-      lane.stream_seq = r.get_u32();
-      lane.since_drain = r.get_u32();
-    }
   }
 }
 

@@ -12,7 +12,6 @@
 
 #include "mem/cache.hpp"
 #include "monitors/event.hpp"
-#include "util/ring.hpp"
 #include "util/time.hpp"
 
 namespace tmprof::monitors {
@@ -52,17 +51,6 @@ class PebsMonitor final : public AccessObserver {
   void enable_sharded();
   [[nodiscard]] bool sharded() const noexcept { return sharded_; }
 
-  /// Streaming handoff, identical protocol to IbsMonitor::enable_streaming:
-  /// per-core (core, seq)-tagged StreamRecords into caller-owned SPSC
-  /// rings, with a counted lane-local spill on ring-full. Implies sharded.
-  using StreamSpillFn = std::function<void(std::span<const StreamRecord>)>;
-  void enable_streaming(std::vector<util::SpscRing<StreamRecord>*> rings,
-                        StreamSpillFn spill);
-  [[nodiscard]] bool streaming() const noexcept { return streaming_; }
-
-  /// Restart per-core record sequence numbers (epoch seal).
-  void stream_epoch_reset();
-
   void on_mem_op(const MemOpEvent& event) override;
 
   AccessObserver* shard_sink(std::uint32_t /*core*/) override {
@@ -89,11 +77,6 @@ class PebsMonitor final : public AccessObserver {
     std::uint64_t samples = 0;
     std::uint64_t events = 0;
     std::uint64_t interrupts = 0;
-    // Streaming mode only:
-    util::SpscRing<StreamRecord>* ring = nullptr;  ///< not owned
-    std::vector<StreamRecord> spill;  ///< ring-full overflow, never dropped
-    std::uint32_t stream_seq = 0;
-    std::uint32_t since_drain = 0;
   };
 
   [[nodiscard]] bool qualifies(const MemOpEvent& event) const noexcept;
@@ -106,8 +89,6 @@ class PebsMonitor final : public AccessObserver {
   std::uint64_t events_seen_ = 0;
   std::uint64_t interrupts_ = 0;
   bool sharded_ = false;
-  bool streaming_ = false;
-  StreamSpillFn stream_spill_;
   std::vector<CoreLane> lanes_;         ///< populated in sharded mode
 };
 

@@ -306,14 +306,7 @@ util::SimNs System::step_parallel(std::uint64_t ops, util::ThreadPool* pool) {
     for (std::uint32_t s = 0; s < n_cores; ++s) {
       pool->submit(s, [&run_shard, s] { run_shard(s); });
     }
-    if (step_pump_) {
-      // Streaming transport: the main thread consumes the monitors' sample
-      // rings while the shards are still producing, so the merge work the
-      // barrier used to do happens under the shadow of shard execution.
-      pool->wait_idle_pumping(step_pump_);
-    } else {
-      pool->wait_idle();
-    }
+    pool->wait_idle();
   } else {
     for (std::uint32_t s = 0; s < n_cores; ++s) run_shard(s);
   }

@@ -101,16 +101,6 @@ class System {
   /// the serial engine (docs/OBSERVABILITY.md).
   void set_telemetry(telemetry::Telemetry* telemetry);
 
-  /// Install (or with null, remove) a callback step_parallel invokes on the
-  /// calling thread while worker shards execute. The streaming driver hooks
-  /// its ring pump here so sample merging overlaps shard execution instead
-  /// of queueing behind the barrier; with an inline (null-pool) run it
-  /// never fires and the rings simply drain at the seal — results are
-  /// bitwise identical either way (docs/STREAMING.md).
-  void set_step_pump(std::function<void()> pump) {
-    step_pump_ = std::move(pump);
-  }
-
   // --- execution --------------------------------------------------------
   /// Execute `ops` memory operations, scheduling processes by weight with
   /// fixed core affinity (pid → core round-robin). Returns sim time spent.
@@ -208,7 +198,6 @@ class System {
   std::vector<monitors::AccessObserver*> observers_;
   monitors::BadgerTrap* badgertrap_ = nullptr;
   FaultHook fault_hook_;
-  std::function<void()> step_pump_;
   mem::TierId first_touch_tier_ = 0;
 
   telemetry::Telemetry* telemetry_ = nullptr;

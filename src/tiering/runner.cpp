@@ -62,6 +62,8 @@ RunnerResult run_impl(const WorkloadFactory& factory,
                       const CollectOptions& loop,
                       const std::string& resume_path) {
   sim::System system(config);
+  // Tier-0 capacity, as the System sized it.
+  const std::uint64_t fast_frames = sim::tier_specs(config).front().frames;
   {
     std::size_t i = 0;
     for (auto& generator : factory(options.seed)) {
@@ -93,7 +95,7 @@ RunnerResult run_impl(const WorkloadFactory& factory,
   TenantArbiter arbiter;
   if (!options.tenants.empty()) {
     TMPROF_EXPECTS(options.tenants.size() <= system.processes().size());
-    arbiter.set_capacity(config.tier1_frames);
+    arbiter.set_capacity(fast_frames);
     std::vector<mem::Pid> pinned;
     for (std::size_t i = 0; i < options.tenants.size(); ++i) {
       const mem::Pid pid = system.processes()[i]->pid();
@@ -245,7 +247,7 @@ RunnerResult run_impl(const WorkloadFactory& factory,
       const std::vector<core::PageRank>* ranking =
           next < oracle_rankings.size() ? &oracle_rankings[next]
                                         : &snapshot.ranking;
-      const MoveStats moved = mover.apply(*ranking, config.tier1_frames);
+      const MoveStats moved = mover.apply(*ranking, fast_frames);
       result.migrations += moved.promoted + moved.demoted;
       result.moves.merge(moved);
     } else if (migrate) {
@@ -268,7 +270,7 @@ RunnerResult run_impl(const WorkloadFactory& factory,
         current.insert(key);
       }
       PolicyContext ctx;
-      ctx.capacity_frames = config.tier1_frames;
+      ctx.capacity_frames = fast_frames;
       ctx.current = &current;
       ctx.observed_ranking = &filtered;
       ctx.page_sizes = &sizes;
@@ -340,18 +342,17 @@ RunnerResult run_impl(const WorkloadFactory& factory,
 RunnerResult EndToEndRunner::run(const WorkloadFactory& factory,
                                  const sim::SimConfig& sim_config,
                                  const RunnerOptions& options) {
+  // Resolve the chain once (shim fields or explicit tiers) so every later
+  // reader — the System, the capacity sites in run_impl — sees one chain.
   sim::SimConfig config = sim_config;
+  config.tiers = sim::tier_specs(config);
   if (options.slow_model == SlowMemoryModel::BadgerTrapEmulation) {
     // All tiers are physically DRAM; slowness comes from injected faults.
-    config.tier2_read_ns = config.tier1_read_ns;
-    config.tier2_write_ns = config.tier1_write_ns;
-    if (!config.tiers.empty()) {
-      const mem::TierSpec fastest = config.tiers.front();
-      for (mem::TierSpec& spec : config.tiers) {
-        spec.read_latency_ns = fastest.read_latency_ns;
-        spec.write_latency_ns = fastest.write_latency_ns;
-        spec.line_transfer_ns = fastest.line_transfer_ns;
-      }
+    const mem::TierSpec fastest = config.tiers.front();
+    for (mem::TierSpec& spec : config.tiers) {
+      spec.read_latency_ns = fastest.read_latency_ns;
+      spec.write_latency_ns = fastest.write_latency_ns;
+      spec.line_transfer_ns = fastest.line_transfer_ns;
     }
   }
   CollectOptions loop = collect_options(options);

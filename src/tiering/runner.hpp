@@ -89,8 +89,9 @@ struct RunnerResult {
 
 class EndToEndRunner {
  public:
-  /// Execute one configuration. `sim_config.tier1_frames` defines the fast
-  /// tier; tier 2 must be large enough for the spilled footprint.
+  /// Execute one configuration. The first tier of the resolved chain
+  /// (sim::tier_specs) is the fast tier; the slower tiers must be large
+  /// enough for the spilled footprint.
   [[nodiscard]] static RunnerResult run(const workloads::WorkloadSpec& spec,
                                         const sim::SimConfig& sim_config,
                                         const RunnerOptions& options);

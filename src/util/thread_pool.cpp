@@ -1,7 +1,5 @@
 #include "util/thread_pool.hpp"
 
-#include <chrono>
-
 #include "util/assert.hpp"
 
 namespace tmprof::util {
@@ -48,28 +46,6 @@ void ThreadPool::wait_idle() {
     std::exception_ptr error = first_error_;
     first_error_ = nullptr;
     std::rethrow_exception(error);
-  }
-}
-
-void ThreadPool::wait_idle_pumping(const std::function<void()>& pump,
-                                   std::uint32_t interval_us) {
-  TMPROF_EXPECTS(pump != nullptr);
-  const auto interval = std::chrono::microseconds(interval_us);
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(done_mutex_);
-      if (done_cv_.wait_for(lock, interval, [this] { return pending_ == 0; })) {
-        if (first_error_) {
-          std::exception_ptr error = first_error_;
-          first_error_ = nullptr;
-          std::rethrow_exception(error);
-        }
-        return;
-      }
-    }
-    // Timed out with work still pending: pump outside the lock so workers
-    // can retire tasks while the consumer runs.
-    pump();
   }
 }
 

@@ -42,16 +42,6 @@ class ThreadPool {
   /// the pool remains usable. Returns immediately when nothing is pending.
   void wait_idle();
 
-  /// wait_idle(), except the caller's thread calls `pump()` repeatedly
-  /// while tasks are still pending (roughly every `interval_us`), instead
-  /// of sleeping the whole time. The streaming engine uses this to consume
-  /// the monitors' sample rings concurrently with shard execution, turning
-  /// barrier merge work into overlap. `pump` runs on the calling thread
-  /// only, never concurrently with itself, and one final time is NOT added
-  /// after idle — callers drain at the seal anyway.
-  void wait_idle_pumping(const std::function<void()>& pump,
-                         std::uint32_t interval_us = 50);
-
   /// Run fn(0..n-1), one task per index sharded by the index, then
   /// wait_idle(). Convenience barrier for per-core fan-out.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);

@@ -1,7 +1,8 @@
 /// The shared checkpointed epoch loop (run_epochs, tiering/epoch.hpp): the
 /// on-disk section layout is pinned byte for byte, every saved section is
 /// also loaded, `resume_latest` walks back through the retained files
-/// before it starts cold, and a rejected telemetry section restores nothing.
+/// before it starts cold, a rejected telemetry section restores nothing, and
+/// the retired streaming-transport markers reject a `true`.
 
 #include <gtest/gtest.h>
 
@@ -11,11 +12,13 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "monitors/ibs.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tiering/epoch.hpp"
 #include "tiering/runner.hpp"
@@ -442,6 +445,107 @@ TEST(CkptTelemetry, RejectedSectionRestoresNothing) {
   const std::string log = ::testing::internal::GetCapturedStderr();
   EXPECT_EQ(count_of(log, rejected_in("telemetry")), 1U) << log;
   EXPECT_EQ(exports_of(sink), exports_of(fresh));
+}
+
+// ---------------------------------------------------------------------------
+// Retired streaming-transport markers: the runner's one-byte "stream"
+// section and the IBS monitor's streaming flag are always written `false`.
+// A CRC-valid image carrying `true` in either — a checkpoint from a build
+// that had the streaming transport — must be rejected naming that section,
+// and the cold start must match a run that never resumed.
+
+struct MarkerRun {
+  std::string reference;  ///< fingerprint of the uncheckpointed run
+  std::string exports;    ///< its Prometheus + Chrome exports
+  Sections sections;      ///< the epoch-2 checkpoint of the same run
+  fs::path dir;
+};
+
+MarkerRun marker_run(const std::string& name) {
+  const auto spec = workloads::find_spec("gups", 0.05);
+  MarkerRun out;
+  telemetry::Telemetry fresh{telemetry::TelemetryConfig{}};
+  RunnerOptions plain = gated_runner(3);
+  plain.telemetry = &fresh;
+  out.reference = fingerprint(EndToEndRunner::run(spec, tiny_config(), plain));
+  out.exports = exports_of(fresh);
+
+  out.dir = fresh_dir(name);
+  telemetry::Telemetry ckpt_sink{telemetry::TelemetryConfig{}};
+  RunnerOptions ckpt = plain;
+  ckpt.telemetry = &ckpt_sink;
+  ckpt.checkpoint.every = 2;
+  ckpt.checkpoint.dir = out.dir.string();
+  (void)EndToEndRunner::run(spec, tiny_config(), ckpt);
+  out.sections = split_sections(
+      read_file(util::ckpt::checkpoint_path(out.dir.string(), "ckpt", 2)));
+  return out;
+}
+
+Image& payload_of(Sections& sections, const std::string& name) {
+  for (auto& [section, payload] : sections) {
+    if (section == name) return payload;
+  }
+  throw std::out_of_range("no section " + name);
+}
+
+/// Offset of the IBS streaming flag in a "daemon" payload. The driver state
+/// opens with its backend byte and PML flag, then the IBS state, whose last
+/// byte is the flag; the IBS state's length is measured by round-tripping
+/// it through a monitor of the run's geometry.
+std::size_t ibs_flag_offset(const Image& daemon) {
+  util::ckpt::Writer framed;
+  framed.begin_section("daemon");
+  framed.put_bytes(daemon.data(), daemon.size());
+  util::ckpt::Reader r(framed.finish());
+  r.enter_section("daemon");
+  EXPECT_EQ(r.get_u8(), static_cast<std::uint8_t>(core::TraceBackend::Ibs));
+  (void)r.get_bool();  // PML presence
+  monitors::IbsMonitor ibs(gated_runner(1).daemon.driver.ibs,
+                           tiny_config().cores);
+  ibs.load_state(r);
+  util::ckpt::Writer w;
+  w.begin_section("ibs");
+  ibs.save_state(w);
+  return 2 + split_sections(w.finish()).front().second.size() - 1;
+}
+
+/// Resume from `sections` (re-framed with fresh CRCs): exactly one
+/// rejection naming `section`, then a cold start equal to the fresh run.
+void expect_cold_start(const MarkerRun& run, const Sections& sections,
+                       const std::string& section) {
+  const std::string path = (run.dir / ("marker-" + section + ".tmck")).string();
+  write_file(path, join_sections(sections));
+  telemetry::Telemetry sink{telemetry::TelemetryConfig{}};
+  RunnerOptions resume = gated_runner(3);
+  resume.telemetry = &sink;
+  resume.checkpoint.resume_from = path;
+  ::testing::internal::CaptureStderr();
+  const std::string got = fingerprint(EndToEndRunner::run(
+      workloads::find_spec("gups", 0.05), tiny_config(), resume));
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(count_of(log, rejected_in(section)), 1U) << log;
+  EXPECT_EQ(got, run.reference);
+  EXPECT_EQ(exports_of(sink), run.exports);
+}
+
+TEST(CkptStreamMarker, StreamSectionTrueStartsCold) {
+  const MarkerRun run = marker_run("marker-stream");
+  Sections sections = run.sections;
+  Image& marker = payload_of(sections, "stream");
+  ASSERT_EQ(marker, Image{0});
+  marker[0] = 1;
+  expect_cold_start(run, sections, "stream");
+}
+
+TEST(CkptStreamMarker, IbsStreamingFlagTrueStartsCold) {
+  const MarkerRun run = marker_run("marker-ibs");
+  Sections sections = run.sections;
+  Image& daemon = payload_of(sections, "daemon");
+  const std::size_t at = ibs_flag_offset(daemon);
+  ASSERT_EQ(daemon.at(at), 0);
+  daemon[at] = 1;
+  expect_cold_start(run, sections, "ibs");
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "workloads/synthetic.hpp"
 
 namespace tmprof::tiering {
@@ -110,6 +116,90 @@ TEST(Runner, DeterministicUnderSeed) {
   EXPECT_EQ(a.migrations, b.migrations);
   EXPECT_DOUBLE_EQ(a.tier1_hitrate, b.tier1_hitrate);
 }
+
+// ---------------------------------------------------------------------------
+// Tier-chain resolution: the shim fields (tier1_frames, ..., tier3_*) and an
+// explicit `tiers` chain with the same names, frames and latencies describe
+// one machine, so every slow-memory model must run them bitwise alike — the
+// fast-tier capacity and the emulation's equalized latencies both come from
+// the resolved chain, not from the shim fields.
+
+/// Every RunnerResult field, doubles by bit pattern.
+std::vector<std::uint64_t> result_bits(const RunnerResult& r) {
+  std::vector<std::uint64_t> out{r.runtime_ns,
+                                 std::bit_cast<std::uint64_t>(r.tier1_hitrate),
+                                 r.migrations,
+                                 r.protection_faults,
+                                 r.profiling_overhead_ns};
+  const MoveStats& m = r.moves;
+  for (const std::uint64_t v :
+       {m.promoted, m.demoted, m.retried, m.deferred, m.aborted, m.no_room,
+        m.rejected, m.cooled, m.shed, m.moved_bytes, m.cost_ns,
+        m.backoff_ns}) {
+    out.push_back(v);
+  }
+  const core::DegradeStats& d = r.degrade;
+  for (const std::uint64_t v :
+       {d.hwpc_wraps, d.scans_aborted, d.trace_dropped, d.rescaled_epochs,
+        d.fallback_epochs, d.pinned_epochs, d.throttled_epochs,
+        d.qos_fallback_epochs}) {
+    out.push_back(v);
+  }
+  for (const double h : r.process_hitrates) {
+    out.push_back(std::bit_cast<std::uint64_t>(h));
+  }
+  return out;
+}
+
+struct ChainCase {
+  SlowMemoryModel model;
+  bool third_tier;
+};
+
+void PrintTo(const ChainCase& c, std::ostream* os) {
+  *os << (c.model == SlowMemoryModel::Native ? "Native" : "BadgerTrap")
+      << (c.third_tier ? "ThreeTier" : "TwoTier");
+}
+
+class TierChain : public ::testing::TestWithParam<ChainCase> {};
+
+TEST_P(TierChain, ShimAndExplicitChainRunBitwiseAlike) {
+  const auto [model, third_tier] = GetParam();
+  sim::SimConfig shim = small_config();
+  // Far below the default and below the hot set, so the capacity binds;
+  // with three tiers, first-touch spills into the last one.
+  shim.tier1_frames = 1 << 7;
+  if (third_tier) {
+    shim.tier2_frames = 1 << 10;
+    shim.tier3_frames = 1 << 16;
+  }
+  sim::SimConfig chain;
+  chain.cores = shim.cores;
+  chain.llc_bytes = shim.llc_bytes;
+  chain.tiers = sim::tier_specs(shim);
+  ASSERT_NE(chain.tier1_frames, shim.tier1_frames);
+
+  RunnerOptions opt = fast_options("history");
+  opt.n_epochs = 6;  // long enough to leave the init phase and serve
+  opt.ops_per_epoch = 120000;
+  opt.daemon.driver.ibs = monitors::IbsConfig::with_period(128);
+  opt.slow_model = model;
+  const RunnerResult from_shim =
+      EndToEndRunner::run(init_then_serve(), shim, opt);
+  const RunnerResult from_chain =
+      EndToEndRunner::run(init_then_serve(), chain, opt);
+  // The policy acted on the fast-tier capacity: it moved pages or, with
+  // the middle tier full, was refused for lack of room.
+  EXPECT_GT(from_shim.migrations + from_shim.moves.no_room, 0U);
+  EXPECT_EQ(result_bits(from_shim), result_bits(from_chain));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Runner, TierChain,
+    ::testing::Values(ChainCase{SlowMemoryModel::Native, false},
+                      ChainCase{SlowMemoryModel::Native, true},
+                      ChainCase{SlowMemoryModel::BadgerTrapEmulation, false},
+                      ChainCase{SlowMemoryModel::BadgerTrapEmulation, true}));
 
 }  // namespace
 }  // namespace tmprof::tiering
