@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -248,7 +249,7 @@ inline FleetArgs fleet_from_args(const util::ArgParser& args) {
 /// e.g. --tiers=dram:8192:80:80,cxl:16384:150:200:32,nvm:262144:300:600:8
 /// The optional bandwidth term (GB/s) adds a per-cache-line transfer cost
 /// of ~64/bw ns to every fill the tier serves. Returns an empty vector
-/// when --tiers is absent (the SimConfig shim fields stay in charge).
+/// when --tiers is absent (the default two-tier chain stays in charge).
 /// Rejects malformed specs, empty names, zero-frame tiers, chains shorter
 /// than 2 or longer than mem::kMaxTiers tiers, and chains whose read
 /// latency descends (the chain must be ordered fastest first).
@@ -256,17 +257,13 @@ inline std::vector<mem::TierSpec> tiers_from_args(const util::ArgParser& args) {
   std::vector<mem::TierSpec> tiers;
   if (!args.has("tiers")) return tiers;
   const std::string value = args.get("tiers", "");
-  const auto parse_u64 = [](const std::string& field,
+  const auto field_u64 = [](const std::string& field,
                             const char* what) -> std::uint64_t {
-    try {
-      std::size_t pos = 0;
-      const std::uint64_t v = std::stoull(field, &pos);
-      if (pos != field.size()) throw std::invalid_argument(field);
-      return v;
-    } catch (const std::exception&) {
-      throw std::invalid_argument(std::string("--tiers: bad ") + what +
-                                  " '" + field + "' (expected an integer)");
+    if (const std::optional<std::uint64_t> v = util::parse_u64(field)) {
+      return *v;
     }
+    throw std::invalid_argument(std::string("--tiers: bad ") + what + " '" +
+                                field + "' (expected an unsigned integer)");
   };
   std::size_t start = 0;
   while (start <= value.size()) {
@@ -293,30 +290,26 @@ inline std::vector<mem::TierSpec> tiers_from_args(const util::ArgParser& args) {
     if (spec.name.empty()) {
       throw std::invalid_argument("--tiers: tier names must be non-empty");
     }
-    spec.frames = parse_u64(fields[1], "frame count");
+    spec.frames = field_u64(fields[1], "frame count");
     if (spec.frames == 0) {
       throw std::invalid_argument("--tiers: tier '" + spec.name +
                                   "' has zero frames; every tier must hold "
                                   "at least one page");
     }
-    spec.read_latency_ns = parse_u64(fields[2], "read latency");
-    spec.write_latency_ns = parse_u64(fields[3], "write latency");
+    spec.read_latency_ns = field_u64(fields[2], "read latency");
+    spec.write_latency_ns = field_u64(fields[3], "write latency");
     if (fields.size() == 5) {
-      double bw = 0.0;
-      try {
-        std::size_t pos = 0;
-        bw = std::stod(fields[4], &pos);
-        if (pos != fields[4].size()) throw std::invalid_argument(fields[4]);
-      } catch (const std::exception&) {
+      const std::optional<double> bw = util::parse_double(fields[4]);
+      if (!bw) {
         throw std::invalid_argument("--tiers: bad bandwidth '" + fields[4] +
-                                    "' (expected GB/s as a number)");
+                                    "' (expected GB/s as a finite number)");
       }
-      if (bw <= 0.0) {
+      if (*bw <= 0.0) {
         throw std::invalid_argument(
             "--tiers: bandwidth must be positive (GB/s)");
       }
       spec.line_transfer_ns =
-          static_cast<util::SimNs>(64.0 / bw + 0.5);  // one 64 B line
+          static_cast<util::SimNs>(64.0 / *bw + 0.5);  // one 64 B line
     }
     tiers.push_back(std::move(spec));
   }

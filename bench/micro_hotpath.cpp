@@ -6,23 +6,14 @@
 ///    skewed key stream and close the epoch (the TruthCollector /
 ///    EpochObservation accumulation pattern),
 ///  * ranking_build — produce the ranking prefix policies consume each
-///    epoch: new pipeline (flat merge + top-K selection) vs old pipeline
-///    (unordered_map merge + full sort). ranking_full pins both engines
-///    to the full sort for the engine-only delta,
+///    epoch (flat merge + top-K selection); ranking_full is the same
+///    merge with a full sort,
 ///  * step_parallel — end-to-end simulator steps with a TruthCollector
-///    attached (the flat engine in its natural habitat; no std variant
-///    since the simulator no longer has one).
+///    attached.
 ///
-/// `--engine=flat|std|both` selects the map engine: `flat` is the
-/// open-addressing util::FlatHashMap the hot path uses; `std` is an
-/// std::unordered_map reference implementing the identical accumulation
-/// and merge logic. `both` (default) runs the two back to back and
-/// reports flat-over-std speedups — the acceptance bar is >= 2x on
-/// collector_merge and ranking_build.
-///
-/// Results go to stdout (human table) and BENCH_hotpath.json (tracked
-/// schema: {section, pages, engine, ops, seconds, ops_per_sec} rows plus
-/// a speedups array).
+/// Every section runs on the open-addressing util::FlatHashMap the hot
+/// path uses. Results go to stdout (human table) and BENCH_hotpath.json
+/// ({section, pages, ops, seconds, ops_per_sec} rows).
 ///
 /// A fourth section sweeps the sketch-mode hotness store (docs/SKETCH.md)
 /// over a memory-vs-accuracy grid: width/depth x footprint on a Zipf
@@ -32,8 +23,7 @@
 /// acceptance point is >= 95% top-64 overlap at <= 1/8 of the exact
 /// store's bytes.
 ///
-/// Usage: micro_hotpath [--engine=flat|std|both] [--epochs=N]
-///        [--touches-per-page=N] [--step-ops=N] [--sketch-sweep=0|1]
+/// Usage: micro_hotpath [--epochs=N] [--touches-per-page=N] [--step-ops=N] [--sketch-sweep=0|1]
 ///        [--out=BENCH_hotpath.json]
 
 #include <algorithm>
@@ -45,7 +35,6 @@
 #include <memory>
 #include <numeric>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -64,15 +53,9 @@ namespace {
 using namespace tmprof;
 using Clock = std::chrono::steady_clock;
 
-using StdCountMap =
-    std::unordered_map<core::PageKey, std::uint32_t, core::PageKeyHash>;
-using StdRankMap =
-    std::unordered_map<core::PageKey, core::PageRank, core::PageKeyHash>;
-
 struct Row {
   std::string section;
   std::uint64_t pages = 0;
-  std::string engine;
   std::uint64_t ops = 0;
   double seconds = 0.0;
   double ops_per_sec = 0.0;
@@ -106,12 +89,10 @@ std::vector<core::PageKey> make_key_stream(std::uint64_t pages,
 // ---------------------------------------------------------------------------
 // Section 1: collector merge (insert-or-increment + epoch close).
 
-template <typename MapT>
-Row run_collector_merge(const char* engine, std::uint64_t pages,
-                        std::uint64_t epochs,
+Row run_collector_merge(std::uint64_t pages, std::uint64_t epochs,
                         const std::vector<core::PageKey>& keys) {
-  MapT current;
-  MapT closed;
+  core::PageCountMap current;
+  core::PageCountMap closed;
   // Untimed warmup epoch: measure steady state, not first-touch growth.
   for (const core::PageKey& key : keys) current[key] += 1;
   closed.swap(current);
@@ -123,7 +104,7 @@ Row run_collector_merge(const char* engine, std::uint64_t pages,
     closed.swap(current);
     current.clear();
   }
-  Row row{"collector_merge", pages, engine, epochs * keys.size(), 0.0, 0.0};
+  Row row{"collector_merge", pages, epochs * keys.size(), 0.0, 0.0};
   row.seconds = seconds_since(start);
   row.ops_per_sec = static_cast<double>(row.ops) / row.seconds;
   if (closed.size() == 0) std::cerr << "collector_merge: empty epoch?\n";
@@ -145,83 +126,36 @@ void fill_observation(core::EpochObservation& obs,
   }
 }
 
-/// std::unordered_map reference of merge_observation + full sort
-/// (ranking.cpp) — the shape of the pre-FlatMap implementation.
-void std_build_ranking(const core::EpochObservation& obs, StdRankMap& merged,
-                       std::vector<core::PageRank>& out) {
-  merged.clear();
-  merged.reserve(obs.abit.size() + obs.trace.size());
-  for (const auto& [key, count] : obs.abit) {
-    core::PageRank& pr = merged[key];
-    pr.key = key;
-    pr.abit = count;
-  }
-  for (const auto& [key, count] : obs.trace) {
-    core::PageRank& pr = merged[key];
-    pr.key = key;
-    pr.trace = count;
-  }
-  for (const auto& [key, count] : obs.writes) {
-    const auto it = merged.find(key);
-    if (it != merged.end()) it->second.writes = count;
-  }
-  out.clear();
-  out.reserve(merged.size());
-  for (auto& [key, pr] : merged) {
-    pr.rank = static_cast<std::uint64_t>(pr.abit) + pr.trace;
-    out.push_back(pr);
-  }
-  std::sort(out.begin(), out.end(), core::RankOrder{});
-}
-
-/// `ranking_build` is the production comparison: the flat engine runs the
-/// new pipeline (flat merge + top-K selection at a capacity-sized k, the
-/// DaemonConfig::ranking_top_k path), the std engine runs the old one
-/// (unordered_map merge + full sort). Both yield the identical top-k
-/// prefix — the entries a placement policy actually consumes — so ops is
-/// consumable entries produced. `ranking_full` pins both engines to the
-/// full sort for an engine-only comparison.
-Row run_ranking_build(const std::string& engine, std::uint64_t pages,
-                      std::uint64_t epochs,
+/// `ranking_build` is the production path: flat merge + top-K selection
+/// at a capacity-sized k (the DaemonConfig::ranking_top_k path), so ops is
+/// consumable entries produced — the prefix a placement policy actually
+/// reads. `ranking_full` (k = 0) runs the full sort instead.
+Row run_ranking_build(std::uint64_t pages, std::uint64_t epochs,
                       const std::vector<core::PageKey>& keys, std::size_t k) {
   const bool full = k == 0;
   core::EpochObservation obs;
   fill_observation(obs, keys);
   std::vector<core::PageRank> out;
   std::uint64_t checksum = 0;
-  double elapsed = 0.0;
-  if (engine == "flat") {
-    core::RankingScratch scratch;
-    auto build = [&] {
-      if (full) {
-        core::build_ranking_into(obs, core::FusionMode::Sum, 1.0, scratch,
-                                 out);
-      } else {
-        core::build_ranking_topk_into(obs, core::FusionMode::Sum, 1.0, k,
-                                      scratch, out);
-      }
-    };
-    build();  // untimed warmup: size every reused buffer first
-    const auto start = Clock::now();
-    for (std::uint64_t e = 0; e < epochs; ++e) {
-      build();
-      checksum += out.empty() ? 0 : out.front().rank;
+  core::RankingScratch scratch;
+  auto build = [&] {
+    if (full) {
+      core::build_ranking_into(obs, core::FusionMode::Sum, 1.0, scratch, out);
+    } else {
+      core::build_ranking_topk_into(obs, core::FusionMode::Sum, 1.0, k,
+                                    scratch, out);
     }
-    elapsed = seconds_since(start);
-  } else {
-    // The old pipeline always full-sorts; consumers truncate afterwards.
-    StdRankMap merged;
-    std_build_ranking(obs, merged, out);  // untimed warmup
-    const auto start = Clock::now();
-    for (std::uint64_t e = 0; e < epochs; ++e) {
-      std_build_ranking(obs, merged, out);
-      checksum += out.empty() ? 0 : out.front().rank;
-    }
-    elapsed = seconds_since(start);
+  };
+  build();  // untimed warmup: size every reused buffer first
+  const auto start = Clock::now();
+  for (std::uint64_t e = 0; e < epochs; ++e) {
+    build();
+    checksum += out.empty() ? 0 : out.front().rank;
   }
+  const double elapsed = seconds_since(start);
   const std::uint64_t consumable =
       full ? out.size() : std::min<std::uint64_t>(k, out.size());
-  Row row{full ? "ranking_full" : "ranking_build", pages, engine,
+  Row row{full ? "ranking_full" : "ranking_build", pages,
           epochs * consumable, 0.0, 0.0};
   row.seconds = elapsed;
   row.ops_per_sec = static_cast<double>(row.ops) / row.seconds;
@@ -249,7 +183,7 @@ Row run_step_parallel(std::uint64_t footprint_pages, std::uint64_t step_ops) {
     system.step(step_ops / 4);
     collector.end_epoch(truth, new_pages);
   }
-  Row row{"step_parallel", footprint_pages, "flat", step_ops, 0.0, 0.0};
+  Row row{"step_parallel", footprint_pages, step_ops, 0.0, 0.0};
   row.seconds = seconds_since(start);
   row.ops_per_sec = static_cast<double>(row.ops) / row.seconds;
   system.remove_observer(&collector);
@@ -417,29 +351,12 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     os << "    {\"section\": \"" << r.section << "\", \"pages\": " << r.pages
-       << ", \"engine\": \"" << r.engine << "\", \"ops\": " << r.ops
+       << ", \"ops\": " << r.ops
        << ", \"seconds\": " << r.seconds
        << ", \"ops_per_sec\": " << r.ops_per_sec << "}"
        << (i + 1 < rows.size() ? "," : "") << "\n";
   }
-  os << "  ],\n  \"speedups\": [\n";
-  // flat-over-std ratio for every (section, pages) pair that has both.
-  bool first = true;
-  for (const Row& flat : rows) {
-    if (flat.engine != "flat") continue;
-    for (const Row& ref : rows) {
-      if (ref.engine != "std" || ref.section != flat.section ||
-          ref.pages != flat.pages) {
-        continue;
-      }
-      if (!first) os << ",\n";
-      first = false;
-      os << "    {\"section\": \"" << flat.section
-         << "\", \"pages\": " << flat.pages << ", \"flat_over_std\": "
-         << flat.ops_per_sec / ref.ops_per_sec << "}";
-    }
-  }
-  os << "\n  ],\n  \"sketch_accuracy\": [\n";
+  os << "  ],\n  \"sketch_accuracy\": [\n";
   for (std::size_t i = 0; i < accuracy.size(); ++i) {
     const AccuracyRow& a = accuracy[i];
     os << "    {\"pages\": " << a.pages << ", \"width\": " << a.width
@@ -459,24 +376,16 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
-  const std::string engine = args.get("engine", "both");
-  if (engine != "flat" && engine != "std" && engine != "both") {
-    std::cerr << "micro_hotpath: --engine must be flat, std or both\n";
-    return 1;
-  }
   const std::uint64_t epochs = args.get_u64("epochs", 8);
   const std::uint64_t touches = args.get_u64("touches-per-page", 4);
   const std::uint64_t step_ops = args.get_u64("step-ops", 2'000'000);
   const bool sketch_sweep = args.get_bool("sketch-sweep", true);
   const std::string out_path = args.get("out", "BENCH_hotpath.json");
-  const bool run_flat = engine != "std";
-  const bool run_std = engine != "flat";
 
   const std::uint64_t footprints[] = {4096, 16384, 65536};
   std::vector<Row> rows;
 
-  std::cout << "micro_hotpath: epoch hot-path ops/sec (engine=" << engine
-            << ", " << epochs << " epochs, " << touches
+  std::cout << "micro_hotpath: epoch hot-path ops/sec (" << epochs << " epochs, " << touches
             << " touches/page)\n\n";
 
   for (const std::uint64_t pages : footprints) {
@@ -484,44 +393,19 @@ int main(int argc, char** argv) {
     // Capacity-sized k: policies consume at most the tier-1 frame count,
     // typically a quarter-ish of the footprint in the paper's configs.
     const std::size_t k = pages / 4;
-    if (run_flat) {
-      rows.push_back(
-          run_collector_merge<core::PageCountMap>("flat", pages, epochs, keys));
-      rows.push_back(run_ranking_build("flat", pages, epochs, keys, k));
-      rows.push_back(run_ranking_build("flat", pages, epochs, keys, 0));
-    }
-    if (run_std) {
-      rows.push_back(
-          run_collector_merge<StdCountMap>("std", pages, epochs, keys));
-      rows.push_back(run_ranking_build("std", pages, epochs, keys, k));
-      rows.push_back(run_ranking_build("std", pages, epochs, keys, 0));
-    }
+    rows.push_back(run_collector_merge(pages, epochs, keys));
+    rows.push_back(run_ranking_build(pages, epochs, keys, k));
+    rows.push_back(run_ranking_build(pages, epochs, keys, 0));
   }
   // One end-to-end datapoint at the middle footprint.
   rows.push_back(run_step_parallel(16384, step_ops));
 
-  util::TextTable table({"section", "pages", "engine", "ops", "Mops/s"});
+  util::TextTable table({"section", "pages", "ops", "Mops/s"});
   for (const Row& r : rows) {
-    table.add_row({r.section, std::to_string(r.pages), r.engine,
-                   std::to_string(r.ops),
+    table.add_row({r.section, std::to_string(r.pages), std::to_string(r.ops),
                    std::to_string(r.ops_per_sec / 1e6)});
   }
   std::cout << table.to_string() << "\n";
-
-  if (run_flat && run_std) {
-    std::cout << "flat-over-std speedups:\n";
-    for (const Row& flat : rows) {
-      if (flat.engine != "flat") continue;
-      for (const Row& ref : rows) {
-        if (ref.engine == "std" && ref.section == flat.section &&
-            ref.pages == flat.pages) {
-          std::cout << "  " << flat.section << " @" << flat.pages
-                    << " pages: " << flat.ops_per_sec / ref.ops_per_sec
-                    << "x\n";
-        }
-      }
-    }
-  }
 
   std::vector<AccuracyRow> accuracy;
   if (sketch_sweep) {

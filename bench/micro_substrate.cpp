@@ -104,7 +104,8 @@ void BM_AbitScanPer4kPtes(benchmark::State& state) {
   }
   monitors::AbitScanner scanner{monitors::AbitConfig{}};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scanner.scan(1, pt, nullptr));
+    benchmark::DoNotOptimize(
+        scanner.scan(1, pt, [](const monitors::AbitSample&) {}));
     // Re-set a fraction of A bits so successive scans do real work.
     state.PauseTiming();
     for (std::uint64_t i = 0; i < pages; i += 4) {

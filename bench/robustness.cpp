@@ -28,6 +28,7 @@
 
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -44,12 +45,12 @@ std::vector<double> parse_rates(const std::string& csv_list) {
   std::stringstream ss(csv_list);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    const double rate = std::stod(item);
-    if (rate < 0.0 || rate > 1.0) {
-      throw std::invalid_argument("--rates entries must be in [0, 1], got " +
-                                  item);
+    const std::optional<double> rate = tmprof::util::parse_double(item);
+    if (!rate || *rate < 0.0 || *rate > 1.0) {
+      throw std::invalid_argument("--rates entries must be in [0, 1], got '" +
+                                  item + "'");
     }
-    rates.push_back(rate);
+    rates.push_back(*rate);
   }
   if (rates.empty() || rates.front() != 0.0) {
     rates.insert(rates.begin(), 0.0);  // rate 0 anchors the degradation

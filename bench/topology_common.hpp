@@ -1,9 +1,8 @@
 #pragma once
 /// \file topology_common.hpp
-/// Shared N-tier chain replay for bench/topology and bench/three_tier
-/// (docs/TOPOLOGY.md). One function drives a workload over an arbitrary
-/// tier ladder with the TMP profiler feeding a waterfall page mover; the
-/// historical three_tier comparison is the two-point special case.
+/// N-tier chain replay for bench/topology (docs/TOPOLOGY.md). One function
+/// drives a workload over an arbitrary tier ladder with the TMP profiler
+/// feeding a waterfall page mover; two tiers are the special case.
 
 #include <cstdint>
 #include <string>
@@ -21,17 +20,12 @@ struct ChainOptions {
   std::uint32_t epochs = 8;
   std::uint64_t ops_per_epoch = 500'000;
   std::uint64_t seed = 42;
-  /// IBS rate multiplier (scaled_ibs); 4 matches the historical
-  /// three_tier bench, 1 is the paper-default (sparsest) period where the
-  /// always-on device counters add the most information.
+  /// IBS rate multiplier (scaled_ibs); 1 is the paper-default (sparsest)
+  /// period where the always-on device counters add the most information.
   std::uint64_t ibs_rate = 4;
   core::FusionMode fusion = core::FusionMode::Sum;
   monitors::DevMonConfig devmon{};  ///< disabled by default
   double devmon_weight = 1.0;
-  /// Scale migration cost by tier distance (MoverConfig::hop_scaled_cost).
-  /// bench/three_tier turns this off: the historical bench charged a flat
-  /// per-move cost, and its default table must stay byte-identical.
-  bool hop_scaled_cost = true;
 };
 
 struct ChainRun {
@@ -44,11 +38,11 @@ struct ChainRun {
   std::vector<std::uint64_t> tier_fills;  ///< per tier, fastest first
 };
 
-/// Replay `spec` over `tiers` (fastest first). Matches the historical
-/// three_tier loop bit-for-bit when devmon is off: the scaled-4x IBS
-/// profiler ticks each epoch, a two-tier chain reconciles through
-/// PageMover::apply and longer chains through apply_tiers, with 64 spare
-/// frames per bounded tier so reconciliation can stage exchanges.
+/// Replay `spec` over `tiers` (fastest first): the scaled IBS profiler
+/// ticks each epoch, a two-tier chain reconciles through PageMover::apply
+/// and longer chains through apply_tiers (migration cost scales with tier
+/// distance), with 64 spare frames per bounded tier so reconciliation can
+/// stage exchanges.
 inline ChainRun run_chain(const workloads::WorkloadSpec& spec,
                           const std::vector<mem::TierSpec>& tiers,
                           const ChainOptions& opt) {
@@ -66,7 +60,6 @@ inline ChainRun run_chain(const workloads::WorkloadSpec& spec,
 
   tiering::MoverConfig mcfg;
   mcfg.per_page_cost_ns = 2500;
-  mcfg.hop_scaled_cost = opt.hop_scaled_cost;
   mcfg.min_rank = 3;
   tiering::PageMover mover(system, mcfg);
 
@@ -104,9 +97,9 @@ inline ChainRun run_chain(const workloads::WorkloadSpec& spec,
   return result;
 }
 
-/// The historical testbed ladders: 32 MiB of DRAM, an optional 64 MiB
-/// CXL-class middle tier, and an NVM-class tier big enough for the whole
-/// footprint (so nothing ever fails to allocate).
+/// The testbed ladders: 32 MiB of DRAM, an optional 64 MiB CXL-class
+/// middle tier, and an NVM-class tier big enough for the whole footprint
+/// (so nothing ever fails to allocate).
 inline std::uint64_t chain_dram_frames() {
   return (32ULL << 20) >> mem::kPageShift;
 }

@@ -22,7 +22,7 @@ BENCHES=(
   fig2_ptw_ratio fig3_heatmap_ibs fig4_heatmap_abit fig5_cdf fig6_hitrate
   table4_detected_pages table_overhead table_speedup profiler_compare
   ablation_fusion ablation_epoch ablation_shootdown ablation_gating
-  robustness chaos three_tier topology consolidation arch_compare
+  robustness chaos topology consolidation arch_compare
   micro_hotpath
 )
 missing=0

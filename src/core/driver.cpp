@@ -165,7 +165,7 @@ monitors::AbitScanResult TmpDriver::scan_processes(
       break;
     }
     sim::Process& proc = system_.process(pid);
-    const monitors::AbitScanResult r = scanner_.scan_fn(
+    const monitors::AbitScanResult r = scanner_.scan(
         pid, proc.page_table(), [&](const monitors::AbitSample& sample) {
           const PageKey key{pid, sample.page_va};
           cur_abit_.add(key);

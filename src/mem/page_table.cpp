@@ -89,12 +89,6 @@ PteRef PageTable::resolve(VirtAddr vaddr) {
   }
 }
 
-void PageTable::walk(const PteVisitor& visit) {
-  walk_fn([&visit](VirtAddr page_va, PageSize size, Pte& pte) {
-    visit(page_va, size, pte);
-  });
-}
-
 
 // ---------------------------------------------------------------------------
 // Checkpoint hooks

@@ -7,7 +7,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "mem/addr.hpp"
@@ -59,18 +58,14 @@ class PageTable {
   /// Resolve to the leaf PTE covering `vaddr` (any alignment), or a null ref.
   [[nodiscard]] PteRef resolve(VirtAddr vaddr);
 
-  /// In-order visit of every present leaf PTE (the `mm_walk` analog).
-  /// The callback may mutate flag bits but must not remap.
-  using PteVisitor = std::function<void(VirtAddr page_va, PageSize, Pte&)>;
-  void walk(const PteVisitor& visit);
-
-  /// Templated walk: the visitor is a plain callable invoked directly, so
-  /// the per-leaf call inlines instead of going through std::function's
-  /// dispatch. Same visit order and mutation rules as walk(); use this on
-  /// hot scan paths (the A-bit scanner visits every leaf every epoch).
+  /// In-order visit of every present leaf PTE (the `mm_walk` analog):
+  /// `visit(page_va, size, pte)` is a plain callable invoked directly, so
+  /// the per-leaf call inlines on hot scan paths (the A-bit scanner visits
+  /// every leaf every epoch). The callback may mutate flag bits but must
+  /// not remap.
   template <typename Visit>
-  void walk_fn(Visit&& visit) {
-    walk_node_fn(*root_, 0, 0, visit);
+  void walk(Visit&& visit) {
+    walk_node(*root_, 0, 0, visit);
   }
 
   /// Checkpoint hooks: leaves are saved as (page_va, size, raw bits) and
@@ -107,7 +102,7 @@ class PageTable {
   Node* descend(VirtAddr vaddr, unsigned target_level, bool create);
 
   template <typename Visit>
-  void walk_node_fn(Node& node, unsigned level, VirtAddr base, Visit& visit) {
+  void walk_node(Node& node, unsigned level, VirtAddr base, Visit& visit) {
     for (std::size_t idx = 0; idx < kFanout; ++idx) {
       const VirtAddr va =
           base + (static_cast<VirtAddr>(idx) << kLevelShift[level]);
@@ -115,7 +110,7 @@ class PageTable {
       if (entry.present()) {
         visit(va, level == 2 ? PageSize::k2M : PageSize::k4K, entry);
       } else if (level < 3 && node.children[idx]) {
-        walk_node_fn(*node.children[idx], level + 1, va, visit);
+        walk_node(*node.children[idx], level + 1, va, visit);
       }
     }
   }

@@ -6,14 +6,6 @@ namespace tmprof::monitors {
 
 AbitScanner::AbitScanner(const AbitConfig& config) : config_(config) {}
 
-AbitScanResult AbitScanner::scan(mem::Pid pid, mem::PageTable& table,
-                                 const SampleSink& sink) {
-  if (sink) {
-    return scan_fn(pid, table, [&sink](const AbitSample& s) { sink(s); });
-  }
-  return scan_fn(pid, table, [](const AbitSample&) {});
-}
-
 
 // ---------------------------------------------------------------------------
 // Checkpoint hooks

@@ -57,8 +57,6 @@ struct AbitScanResult {
 /// The A-bit driver.
 class AbitScanner {
  public:
-  /// Receives every page found accessed during a scan.
-  using SampleSink = std::function<void(const AbitSample&)>;
   /// Invalidates one page's translations system-wide; returns IPIs issued.
   /// Wired to the System's TLBs by the driver.
   using ShootdownFn =
@@ -69,16 +67,13 @@ class AbitScanner {
   void set_shootdown(ShootdownFn fn) { shootdown_ = std::move(fn); }
 
   /// Walk `table` once; report accessed pages to `sink`, clearing A bits.
-  AbitScanResult scan(mem::Pid pid, mem::PageTable& table,
-                      const SampleSink& sink);
-
-  /// Templated scan: `sink` is a plain callable invoked directly for every
-  /// accessed page, riding PageTable::walk_fn so the whole per-leaf visit
-  /// inlines (no std::function dispatch on the epoch hot path).
+  /// `sink(const AbitSample&)` is a plain callable invoked directly for
+  /// every accessed page, riding PageTable::walk so the whole per-leaf
+  /// visit inlines on the epoch hot path.
   template <typename Sink>
-  AbitScanResult scan_fn(mem::Pid pid, mem::PageTable& table, Sink&& sink) {
+  AbitScanResult scan(mem::Pid pid, mem::PageTable& table, Sink&& sink) {
     AbitScanResult result;
-    table.walk_fn(
+    table.walk(
         [&](mem::VirtAddr page_va, mem::PageSize size, mem::Pte& pte) {
           ++result.ptes_visited;
           // gather_a_history(): check, save and clear the A bit.

@@ -29,29 +29,18 @@ struct SimConfig {
   mem::TlbLevelConfig l1_tlb{16, 4, 8, 4};
   mem::TlbLevelConfig l2_tlb{256, 8, 32, 4};
 
-  // Tiered memory. Frame counts are set per experiment (the paper's 4 GiB +
-  // 60 GiB emulation config scales to 64 MiB + 960 MiB at the simulator's
-  // 1/64 footprint scale); the latencies are calibrated to DRAM vs.
-  // Optane-class media.
+  // Tiered memory. By default a two-tier DRAM + NVM machine whose frame
+  // counts are set per experiment (the paper's 4 GiB + 60 GiB emulation
+  // config scales to 64 MiB + 960 MiB at the simulator's 1/64 footprint
+  // scale) and whose latencies are calibrated to DRAM vs. Optane-class
+  // media (sim::tier_specs).
   std::uint64_t tier1_frames = (64ULL << 20) >> 12;    // 64 MiB fast
   std::uint64_t tier2_frames = (960ULL << 20) >> 12;   // 960 MiB slow
-  util::SimNs tier1_read_ns = 80;
-  util::SimNs tier1_write_ns = 80;
-  util::SimNs tier2_read_ns = 300;
-  util::SimNs tier2_write_ns = 600;
-  /// Optional third tier (e.g., DRAM + CXL-attached + NVM). 0 disables it.
-  /// Deprecated alongside the tier1_*/tier2_* fields above: new code should
-  /// describe the machine with `tiers` below; these remain as a
-  /// compatibility shim for existing two/three-tier experiments.
-  std::uint64_t tier3_frames = 0;
-  util::SimNs tier3_read_ns = 900;
-  util::SimNs tier3_write_ns = 1800;
 
   /// Explicit tier chain, fastest first (DRAM + CXL + NVM + ...). When
-  /// non-empty this takes precedence over the tierN_* shim fields and may
-  /// describe up to mem::kMaxTiers tiers with per-tier latency/bandwidth.
-  /// Empty (default) preserves the legacy two/three-tier construction
-  /// bitwise. See sim::tier_specs() and docs/TOPOLOGY.md.
+  /// non-empty this replaces the default two-tier chain (and ignores
+  /// tier1_frames/tier2_frames); it may describe up to mem::kMaxTiers
+  /// tiers with per-tier latency/bandwidth. See docs/TOPOLOGY.md.
   std::vector<mem::TierSpec> tiers;
 
   // Access-latency model for cache hits.

@@ -21,19 +21,14 @@ std::vector<mem::TierSpec> tier_specs(const SimConfig& config) {
     TMPROF_EXPECTS(config.tiers.size() <= mem::kMaxTiers);
     return config.tiers;
   }
-  // Legacy shim: the historical two/three-tier fields, with the historical
-  // tier names, so every pre-chain experiment stays bitwise identical.
-  std::vector<mem::TierSpec> specs{
-      mem::TierSpec{"tier1-dram", config.tier1_frames, config.tier1_read_ns,
-                    config.tier1_write_ns},
-      mem::TierSpec{"tier2-nvm", config.tier2_frames, config.tier2_read_ns,
-                    config.tier2_write_ns}};
-  if (config.tier3_frames > 0) {
-    specs.push_back(mem::TierSpec{"tier3-cold", config.tier3_frames,
-                                  config.tier3_read_ns,
-                                  config.tier3_write_ns});
-  }
-  return specs;
+  // The default machine: DRAM over Optane-class NVM. Telemetry metric
+  // names and the golden outputs depend on these tier names.
+  constexpr util::SimNs kDramNs = 80;
+  constexpr util::SimNs kNvmReadNs = 300;
+  constexpr util::SimNs kNvmWriteNs = 600;
+  return {mem::TierSpec{"tier1-dram", config.tier1_frames, kDramNs, kDramNs},
+          mem::TierSpec{"tier2-nvm", config.tier2_frames, kNvmReadNs,
+                        kNvmWriteNs}};
 }
 
 namespace {

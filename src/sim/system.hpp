@@ -37,10 +37,10 @@ class Writer;
 namespace tmprof::sim {
 
 /// Resolve a SimConfig into the tier chain the System will construct:
-/// `config.tiers` verbatim when non-empty, otherwise the legacy
-/// tier1/tier2(/tier3) shim fields with their historical names
-/// ("tier1-dram", "tier2-nvm", "tier3-cold"). Benches and policies use
-/// this to reason about the chain without re-deriving the shim rules.
+/// `config.tiers` verbatim when non-empty, otherwise the default two-tier
+/// chain "tier1-dram" (tier1_frames, 80/80 ns) over "tier2-nvm"
+/// (tier2_frames, 300/600 ns read/write). Benches and policies use this
+/// to reason about the chain without re-deriving the default.
 [[nodiscard]] std::vector<mem::TierSpec> tier_specs(const SimConfig& config);
 
 /// Outcome of one simulated access (returned for tests/instrumentation).

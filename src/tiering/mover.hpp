@@ -76,11 +76,6 @@ struct MoverConfig {
   /// pays for the longer copy path. Every two-tier move is one hop, which
   /// keeps all pre-chain results bitwise unchanged.
   util::SimNs per_page_cost_ns = 50 * util::kMicrosecond;
-  /// When false, every move charges a flat per_page_cost_ns regardless of
-  /// tier distance — the pre-chain behavior, kept so the historical
-  /// three_tier bench reproduces its table byte-for-byte. Irrelevant on
-  /// two-tier systems, where every move is one hop either way.
-  bool hop_scaled_cost = true;
   /// Only pages ranked at least this hot are worth a migration ("to
   /// justify the migration cost, the hottest pages should be migrated",
   /// Section IV). Rank 1 is the tie mass every touched page reaches via a
@@ -109,8 +104,6 @@ struct MoverConfig {
 class PageMover {
  public:
   explicit PageMover(sim::System& system, const MoverConfig& config = {});
-  PageMover(sim::System& system, util::SimNs per_page_cost_ns)
-      : PageMover(system, MoverConfig{per_page_cost_ns, true, 2, 0}) {}
 
   /// Make tier 1 hold (as nearly as possible) the hottest ranked pages that
   /// fit in `capacity_frames`. Charges migration time to the system clock.
@@ -194,7 +187,6 @@ class PageMover {
   /// rewrites the mapping).
   [[nodiscard]] util::SimNs hop_cost(mem::TierId src,
                                      mem::TierId dest) const noexcept {
-    if (!config_.hop_scaled_cost) return config_.per_page_cost_ns;
     const std::uint32_t hops =
         src > dest ? static_cast<std::uint32_t>(src - dest)
                    : static_cast<std::uint32_t>(dest - src);

@@ -20,7 +20,7 @@ void sync_poison(sim::System& system, monitors::BadgerTrap& trap,
   for (sim::Process* proc : system.processes()) {
     const mem::Pid pid = proc->pid();
     const std::uint32_t core = pid % system.config().cores;
-    proc->page_table().walk_fn(
+    proc->page_table().walk(
         [&](mem::VirtAddr page_va, mem::PageSize size, mem::Pte& pte) {
           (void)size;
           const bool in_t2 = system.phys().tier_of(pte.pfn()) != 0;
@@ -342,7 +342,7 @@ RunnerResult run_impl(const WorkloadFactory& factory,
 RunnerResult EndToEndRunner::run(const WorkloadFactory& factory,
                                  const sim::SimConfig& sim_config,
                                  const RunnerOptions& options) {
-  // Resolve the chain once (shim fields or explicit tiers) so every later
+  // Resolve the chain once (default or explicit tiers) so every later
   // reader — the System, the capacity sites in run_impl — sees one chain.
   sim::SimConfig config = sim_config;
   config.tiers = sim::tier_specs(config);

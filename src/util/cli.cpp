@@ -1,8 +1,37 @@
 #include "util/cli.hpp"
 
+#include <cctype>
+#include <cmath>
 #include <stdexcept>
 
 namespace tmprof::util {
+
+std::optional<std::uint64_t> parse_u64(const std::string& text) {
+  // stoull skips leading whitespace and accepts (and wraps) a sign, so
+  // demand a leading digit.
+  if (text.empty() || std::isdigit(static_cast<unsigned char>(text[0])) == 0) {
+    return std::nullopt;
+  }
+  try {
+    std::size_t pos = 0;
+    const std::uint64_t parsed = std::stoull(text, &pos);
+    if (pos != text.size()) return std::nullopt;
+    return parsed;
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
+std::optional<double> parse_double(const std::string& text) {
+  try {
+    std::size_t pos = 0;
+    const double parsed = std::stod(text, &pos);
+    if (pos != text.size() || !std::isfinite(parsed)) return std::nullopt;
+    return parsed;
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -34,38 +63,22 @@ std::uint64_t ArgParser::get_u64(const std::string& key,
                                  std::uint64_t fallback) const {
   const auto it = options_.find(key);
   if (it == options_.end()) return fallback;
-  const std::string& v = it->second;
-  // stoull accepts "-3" and wraps it silently; reject it explicitly.
-  if (v.empty() || v[0] == '-') {
-    throw std::invalid_argument("--" + key +
-                                " expects an unsigned integer, got '" + v +
-                                "'");
+  if (const std::optional<std::uint64_t> parsed = parse_u64(it->second)) {
+    return *parsed;
   }
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t parsed = std::stoull(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
-    return parsed;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("--" + key +
-                                " expects an unsigned integer, got '" + v +
-                                "'");
-  }
+  throw std::invalid_argument("--" + key +
+                              " expects an unsigned integer, got '" +
+                              it->second + "'");
 }
 
 double ArgParser::get_double(const std::string& key, double fallback) const {
   const auto it = options_.find(key);
   if (it == options_.end()) return fallback;
-  const std::string& v = it->second;
-  try {
-    std::size_t pos = 0;
-    const double parsed = std::stod(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
-    return parsed;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("--" + key + " expects a number, got '" + v +
-                                "'");
+  if (const std::optional<double> parsed = parse_double(it->second)) {
+    return *parsed;
   }
+  throw std::invalid_argument("--" + key + " expects a finite number, got '" +
+                              it->second + "'");
 }
 
 double ArgParser::get_checked_double(const std::string& key, double fallback,

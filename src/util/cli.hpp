@@ -4,10 +4,19 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace tmprof::util {
+
+/// Strict number parsing shared by ArgParser and the benches' composite
+/// flags (e.g. --tiers fields): the whole text must be the number, so
+/// trailing garbage, an empty string, a sign on an unsigned value
+/// (std::stoull would silently wrap "-1" to 2^64-1) and non-finite
+/// doubles ("nan", "inf") all yield std::nullopt.
+[[nodiscard]] std::optional<std::uint64_t> parse_u64(const std::string& text);
+[[nodiscard]] std::optional<double> parse_double(const std::string& text);
 
 /// Parses `--key=value` and bare `--flag` arguments. Positional arguments
 /// are collected in order. Unknown keys are allowed (benches share configs).
@@ -18,11 +27,12 @@ class ArgParser {
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const;
-  /// Throws std::invalid_argument naming the flag on malformed or negative
-  /// input (std::stoull would silently wrap "-3" to a huge value).
+  /// Throws std::invalid_argument naming the flag on input parse_u64
+  /// rejects (malformed or negative).
   [[nodiscard]] std::uint64_t get_u64(const std::string& key,
                                       std::uint64_t fallback) const;
-  /// Throws std::invalid_argument naming the flag on malformed input.
+  /// Throws std::invalid_argument naming the flag on input parse_double
+  /// rejects (malformed or non-finite).
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
   /// get_double restricted to [lo, hi]; out-of-range values (e.g. a

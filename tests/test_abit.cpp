@@ -9,6 +9,9 @@
 namespace tmprof::monitors {
 namespace {
 
+// Sink for scans whose samples the test does not inspect.
+constexpr auto kDiscard = [](const AbitSample&) {};
+
 TEST(Abit, ScanFindsAccessedPagesAndClearsBits) {
   mem::PageTable pt;
   pt.map(0x1000, 1, mem::PageSize::k4K);
@@ -28,7 +31,7 @@ TEST(Abit, ScanFindsAccessedPagesAndClearsBits) {
   EXPECT_EQ(seen[0], 0x1000U);
   EXPECT_EQ(seen[1], 0x3000U);
   // Bits were cleared: a second scan sees nothing.
-  const AbitScanResult r2 = scanner.scan(1, pt, nullptr);
+  const AbitScanResult r2 = scanner.scan(1, pt, kDiscard);
   EXPECT_EQ(r2.pages_accessed, 0U);
 }
 
@@ -54,7 +57,7 @@ TEST(Abit, NoShootdownByDefault) {
     ++shootdowns;
     return std::uint64_t{5};
   });
-  const AbitScanResult r = scanner.scan(1, pt, nullptr);
+  const AbitScanResult r = scanner.scan(1, pt, kDiscard);
   EXPECT_EQ(shootdowns, 0U);
   EXPECT_EQ(r.shootdowns, 0U);
 }
@@ -74,7 +77,7 @@ TEST(Abit, OptionalShootdownPerClearedPte) {
     ++calls;
     return std::uint64_t{5};
   });
-  const AbitScanResult r = scanner.scan(9, pt, nullptr);
+  const AbitScanResult r = scanner.scan(9, pt, kDiscard);
   EXPECT_EQ(calls, 2U);
   EXPECT_EQ(r.shootdowns, 10U);  // 2 pages x 5 IPIs
   EXPECT_GT(r.cost_ns, 2 * cfg.cost_per_pte_ns);
@@ -87,7 +90,7 @@ TEST(Abit, CostScalesWithPtesVisited) {
   }
   AbitConfig cfg;
   AbitScanner scanner(cfg);
-  const AbitScanResult r = scanner.scan(1, pt, nullptr);
+  const AbitScanResult r = scanner.scan(1, pt, kDiscard);
   EXPECT_EQ(r.ptes_visited, 100U);
   EXPECT_EQ(r.cost_ns, 100 * cfg.cost_per_pte_ns);
   EXPECT_EQ(scanner.overhead_ns(), r.cost_ns);
@@ -99,7 +102,7 @@ TEST(Abit, DirtyBitUntouchedByScan) {
   pt.map(0x1000, 1, mem::PageSize::k4K);
   mem::PageTableWalker::walk(pt, 0x1000, true);
   AbitScanner scanner{AbitConfig{}};
-  scanner.scan(1, pt, nullptr);
+  scanner.scan(1, pt, kDiscard);
   EXPECT_TRUE(pt.resolve(0x1000).pte->dirty());
   EXPECT_FALSE(pt.resolve(0x1000).pte->accessed());
 }

@@ -70,14 +70,20 @@ TEST(Cli, NegativeU64Throws) {
 }
 
 TEST(Cli, GarbageU64Throws) {
-  const auto p = parse({"--epochs=12abc", "--ops="});
+  const auto p = parse({"--epochs=12abc", "--ops=", "--seed= -3"});
   EXPECT_THROW((void)p.get_u64("epochs", 0), std::invalid_argument);
   EXPECT_THROW((void)p.get_u64("ops", 0), std::invalid_argument);
+  // std::stoull skips the blank and then wraps the sign.
+  EXPECT_THROW((void)p.get_u64("seed", 0), std::invalid_argument);
 }
 
 TEST(Cli, GarbageDoubleThrows) {
-  const auto p = parse({"--rate=0.5x"});
-  EXPECT_THROW((void)p.get_double("rate", 0.0), std::invalid_argument);
+  for (const char* flag : {"--rate=0.5x", "--rate=nan", "--rate=inf",
+                           "--rate=-inf"}) {
+    EXPECT_THROW((void)parse({flag}).get_double("rate", 0.0),
+                 std::invalid_argument)
+        << flag;
+  }
 }
 
 TEST(Cli, RateRejectsOutOfRange) {
@@ -90,6 +96,9 @@ TEST(Cli, RateRejectsOutOfRange) {
   }
   const auto big = parse({"--fault-rate=1.5"});
   EXPECT_THROW((void)big.get_rate("fault-rate", 0.0), std::invalid_argument);
+  // NaN fails both range comparisons, so get_double itself must refuse it.
+  const auto nan = parse({"--fault-rate=nan"});
+  EXPECT_THROW((void)nan.get_rate("fault-rate", 0.0), std::invalid_argument);
   const auto ok = parse({"--fault-rate=0.25"});
   EXPECT_DOUBLE_EQ(ok.get_rate("fault-rate", 0.0), 0.25);
 }
@@ -373,7 +382,10 @@ TEST(TopologyCli, MalformedSpecsRejectedWithFlagName) {
         "--tiers=dram:x:80:80,nvm:100:300:600",   // non-integer frames
         "--tiers=:100:80:80,nvm:100:300:600",     // empty name
         "--tiers=dram:100:80:80,nvm:100:300:600:0",   // zero bandwidth
-        "--tiers=dram:100:80:80,nvm:100:300:600:-4"}) {  // negative bw
+        "--tiers=dram:100:80:80,nvm:100:300:600:-4",  // negative bw
+        "--tiers=dram:-1:80:80,nvm:100:300:600",      // wraps in stoull
+        "--tiers=dram:100:80:80,nvm:100:300:600:nan",   // passes bw <= 0
+        "--tiers=dram:100:80:80,nvm:100:300:600:inf"}) {  // 0 ns per line
     try {
       (void)bench::tiers_from_args(parse({flag}));
       FAIL() << "expected std::invalid_argument for " << flag;

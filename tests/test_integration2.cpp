@@ -81,9 +81,9 @@ TEST(Integration2, NumaMapsTracksMigration) {
 /// A 3-tier system allocates first-touch through the whole ladder.
 TEST(Integration2, ThreeTierFirstTouchSpillsDownTheLadder) {
   sim::SimConfig cfg = small_config();
-  cfg.tier1_frames = 4;
-  cfg.tier2_frames = 4;
-  cfg.tier3_frames = 1 << 12;
+  cfg.tiers = {mem::TierSpec{"dram", 4, 80, 80},
+               mem::TierSpec{"cxl", 4, 300, 600},
+               mem::TierSpec{"nvm", 1 << 12, 900, 1800}};
   sim::System sys(cfg);
   sys.add_process(std::make_unique<workloads::SequentialWorkload>(
       1 << 16, 4096, 0.0, 1));

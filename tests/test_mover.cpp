@@ -16,6 +16,18 @@ sim::SimConfig small_config(std::uint64_t t1_frames) {
   return cfg;
 }
 
+/// A DRAM + CXL + NVM chain with the given frame counts.
+sim::SimConfig three_tier_config(std::uint64_t t0, std::uint64_t t1,
+                                 std::uint64_t t2) {
+  sim::SimConfig cfg;
+  cfg.cores = 2;
+  cfg.llc_bytes = 1 << 18;
+  cfg.tiers = {mem::TierSpec{"dram", t0, 80, 80},
+               mem::TierSpec{"cxl", t1, 300, 600},
+               mem::TierSpec{"nvm", t2, 900, 1800}};
+  return cfg;
+}
+
 /// Touch `pages` distinct 4 KiB pages of a process.
 void touch_pages(sim::System& sys, mem::Pid pid, std::uint64_t pages) {
   sim::Process& proc = sys.process(pid);
@@ -77,7 +89,7 @@ TEST(Mover, ChargesMigrationCostToClock) {
       std::make_unique<workloads::UniformWorkload>(1 << 20, 0.0, 1));
   touch_pages(sys, pid, 6);
   const util::SimNs cost = 50 * util::kMicrosecond;
-  PageMover mover(sys, cost);
+  PageMover mover(sys, MoverConfig{.per_page_cost_ns = cost});
   const util::SimNs before = sys.now();
   const auto ranking = rank_pages(sys, pid, {4, 5});
   const MoveStats stats = mover.apply(ranking, 2);
@@ -143,13 +155,7 @@ TEST(MoverTiers, FullLadderFailsGracefullyAndDefers) {
   // Every tier 100% full: demotions have no room anywhere, so promotions
   // cannot be staged either. The mover must report no_room (not crash) and
   // park the blocked promotions for later epochs.
-  sim::SimConfig cfg;
-  cfg.cores = 2;
-  cfg.llc_bytes = 1 << 18;
-  cfg.tier1_frames = 2;
-  cfg.tier2_frames = 4;
-  cfg.tier3_frames = 4;
-  sim::System sys(cfg);
+  sim::System sys(three_tier_config(2, 4, 4));
   const mem::Pid pid = sys.add_process(
       std::make_unique<workloads::UniformWorkload>(1 << 20, 0.0, 1));
   touch_pages(sys, pid, 10);  // 2 + 4 + 4: fills all three tiers exactly
@@ -176,18 +182,8 @@ TEST(MoverTiers, FullLadderFailsGracefullyAndDefers) {
 namespace tmprof::tiering {
 namespace {
 
-sim::SimConfig three_tier_config() {
-  sim::SimConfig cfg;
-  cfg.cores = 2;
-  cfg.llc_bytes = 1 << 18;
-  cfg.tier1_frames = 2;
-  cfg.tier2_frames = 4;
-  cfg.tier3_frames = 1 << 14;
-  return cfg;
-}
-
 TEST(MoverTiers, WaterfallPlacesByRankAcrossThreeTiers) {
-  sim::System sys(three_tier_config());
+  sim::System sys(three_tier_config(2, 4, 1 << 14));
   const mem::Pid pid = sys.add_process(
       std::make_unique<workloads::UniformWorkload>(1 << 20, 0.0, 1));
   touch_pages(sys, pid, 10);  // 2 in t0, 4 in t1, 4 in t2
@@ -213,8 +209,7 @@ TEST(MoverTiers, WaterfallPlacesByRankAcrossThreeTiers) {
 }
 
 TEST(MoverTiers, TwoTierWaterfallMatchesApply) {
-  sim::SimConfig cfg = three_tier_config();
-  cfg.tier3_frames = 0;  // plain two tiers
+  sim::SimConfig cfg = small_config(2);
   cfg.tier2_frames = 8;  // slack below: exchanges need staging room
   sim::System sys(cfg);
   const mem::Pid pid = sys.add_process(
@@ -233,8 +228,8 @@ TEST(MoverTiers, TwoTierWaterfallMatchesApply) {
 }
 
 TEST(MoverTiers, RequiresEnoughTiers) {
-  sim::SimConfig cfg = three_tier_config();
-  cfg.tier3_frames = 0;
+  sim::SimConfig cfg = small_config(2);
+  cfg.tier2_frames = 4;
   sim::System sys(cfg);
   const mem::Pid pid = sys.add_process(
       std::make_unique<workloads::UniformWorkload>(1 << 20, 0.0, 1));

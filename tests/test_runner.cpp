@@ -118,11 +118,11 @@ TEST(Runner, DeterministicUnderSeed) {
 }
 
 // ---------------------------------------------------------------------------
-// Tier-chain resolution: the shim fields (tier1_frames, ..., tier3_*) and an
-// explicit `tiers` chain with the same names, frames and latencies describe
-// one machine, so every slow-memory model must run them bitwise alike — the
-// fast-tier capacity and the emulation's equalized latencies both come from
-// the resolved chain, not from the shim fields.
+// Tier-chain resolution: the default chain (tier1_frames, tier2_frames) and
+// an explicit `tiers` chain with the same names, frames and latencies
+// describe one machine, so every slow-memory model must run them bitwise
+// alike — the fast-tier capacity and the emulation's equalized latencies
+// both come from the resolved chain, not from the frame-count fields.
 
 /// Every RunnerResult field, doubles by bit pattern.
 std::vector<std::uint64_t> result_bits(const RunnerResult& r) {
@@ -153,53 +153,45 @@ std::vector<std::uint64_t> result_bits(const RunnerResult& r) {
 
 struct ChainCase {
   SlowMemoryModel model;
-  bool third_tier;
 };
 
 void PrintTo(const ChainCase& c, std::ostream* os) {
   *os << (c.model == SlowMemoryModel::Native ? "Native" : "BadgerTrap")
-      << (c.third_tier ? "ThreeTier" : "TwoTier");
+      << "TwoTier";
 }
 
 class TierChain : public ::testing::TestWithParam<ChainCase> {};
 
 TEST_P(TierChain, ShimAndExplicitChainRunBitwiseAlike) {
-  const auto [model, third_tier] = GetParam();
-  sim::SimConfig shim = small_config();
-  // Far below the default and below the hot set, so the capacity binds;
-  // with three tiers, first-touch spills into the last one.
-  shim.tier1_frames = 1 << 7;
-  if (third_tier) {
-    shim.tier2_frames = 1 << 10;
-    shim.tier3_frames = 1 << 16;
-  }
+  const SlowMemoryModel model = GetParam().model;
+  sim::SimConfig defaults = small_config();
+  // Far below the default and below the hot set, so the capacity binds.
+  defaults.tier1_frames = 1 << 7;
   sim::SimConfig chain;
-  chain.cores = shim.cores;
-  chain.llc_bytes = shim.llc_bytes;
-  chain.tiers = sim::tier_specs(shim);
-  ASSERT_NE(chain.tier1_frames, shim.tier1_frames);
+  chain.cores = defaults.cores;
+  chain.llc_bytes = defaults.llc_bytes;
+  chain.tiers = sim::tier_specs(defaults);
+  ASSERT_NE(chain.tier1_frames, defaults.tier1_frames);
 
   RunnerOptions opt = fast_options("history");
   opt.n_epochs = 6;  // long enough to leave the init phase and serve
   opt.ops_per_epoch = 120000;
   opt.daemon.driver.ibs = monitors::IbsConfig::with_period(128);
   opt.slow_model = model;
-  const RunnerResult from_shim =
-      EndToEndRunner::run(init_then_serve(), shim, opt);
+  const RunnerResult from_default =
+      EndToEndRunner::run(init_then_serve(), defaults, opt);
   const RunnerResult from_chain =
       EndToEndRunner::run(init_then_serve(), chain, opt);
-  // The policy acted on the fast-tier capacity: it moved pages or, with
-  // the middle tier full, was refused for lack of room.
-  EXPECT_GT(from_shim.migrations + from_shim.moves.no_room, 0U);
-  EXPECT_EQ(result_bits(from_shim), result_bits(from_chain));
+  // The policy acted on the fast-tier capacity: it moved pages or was
+  // refused for lack of room.
+  EXPECT_GT(from_default.migrations + from_default.moves.no_room, 0U);
+  EXPECT_EQ(result_bits(from_default), result_bits(from_chain));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Runner, TierChain,
-    ::testing::Values(ChainCase{SlowMemoryModel::Native, false},
-                      ChainCase{SlowMemoryModel::Native, true},
-                      ChainCase{SlowMemoryModel::BadgerTrapEmulation, false},
-                      ChainCase{SlowMemoryModel::BadgerTrapEmulation, true}));
+    ::testing::Values(ChainCase{SlowMemoryModel::Native},
+                      ChainCase{SlowMemoryModel::BadgerTrapEmulation}));
 
 }  // namespace
 }  // namespace tmprof::tiering

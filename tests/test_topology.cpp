@@ -1,5 +1,5 @@
 /// N-tier topology tests (docs/TOPOLOGY.md): the SimConfig tier-chain
-/// model (legacy shim vs explicit chains), the waterfall hitrate
+/// model (default two-tier chain vs explicit chains), the waterfall hitrate
 /// evaluator, and per-hop migration-cost scaling over a three-tier chain.
 
 #include "tiering/hitrate.hpp"
@@ -13,22 +13,23 @@
 namespace tmprof::tiering {
 namespace {
 
-TEST(Topology, TierSpecsShimProducesLegacyChain) {
+TEST(Topology, DefaultChainIsDramOverNvm) {
   sim::SimConfig cfg;
-  const std::vector<mem::TierSpec> two = sim::tier_specs(cfg);
-  ASSERT_EQ(two.size(), 2U);
-  EXPECT_EQ(two[0].name, "tier1-dram");
-  EXPECT_EQ(two[0].frames, cfg.tier1_frames);
-  EXPECT_EQ(two[0].read_latency_ns, cfg.tier1_read_ns);
-  EXPECT_EQ(two[1].name, "tier2-nvm");
-  EXPECT_EQ(two[1].write_latency_ns, cfg.tier2_write_ns);
-
-  cfg.tier3_frames = 1 << 10;
-  const std::vector<mem::TierSpec> three = sim::tier_specs(cfg);
-  ASSERT_EQ(three.size(), 3U);
-  EXPECT_EQ(three[2].name, "tier3-cold");
-  EXPECT_EQ(three[2].frames, 1U << 10);
-  EXPECT_EQ(three[2].read_latency_ns, cfg.tier3_read_ns);
+  cfg.tier1_frames = 1 << 10;
+  cfg.tier2_frames = 1 << 12;
+  const std::vector<mem::TierSpec> specs = sim::tier_specs(cfg);
+  ASSERT_EQ(specs.size(), 2U);
+  // Telemetry metric names and the goldens depend on these names.
+  EXPECT_EQ(specs[0].name, "tier1-dram");
+  EXPECT_EQ(specs[0].frames, 1U << 10);
+  EXPECT_EQ(specs[0].read_latency_ns, 80U);
+  EXPECT_EQ(specs[0].write_latency_ns, 80U);
+  EXPECT_EQ(specs[0].line_transfer_ns, 0U);
+  EXPECT_EQ(specs[1].name, "tier2-nvm");
+  EXPECT_EQ(specs[1].frames, 1U << 12);
+  EXPECT_EQ(specs[1].read_latency_ns, 300U);
+  EXPECT_EQ(specs[1].write_latency_ns, 600U);
+  EXPECT_EQ(specs[1].line_transfer_ns, 0U);
 }
 
 TEST(Topology, ExplicitChainOverridesShim) {
