@@ -60,7 +60,7 @@ ArchResult run(Arch arch, const workloads::WorkloadSpec& spec,
     system.step(ops_per_epoch);
     if (arch == Arch::TmpTiered) {
       const core::ProfileSnapshot snap = daemon->tick();
-      mover->apply(snap.ranking, cfg.tier1_frames - 128);
+      mover->apply(snap.ranking, {cfg.tier1_frames - 128});
     } else if (arch == Arch::Swap) {
       // Sweep after every epoch: tier-2 spill becomes swap-backed, and
       // pages allocated there since the last sweep join it (kswapd role).

@@ -97,7 +97,7 @@ std::vector<TenantResult> run(Mode mode, double scale, std::uint32_t epochs,
                   return a.key < b.key;
                 });
     }
-    mover.apply(snap.ranking, cfg.tier1_frames - 128);
+    mover.apply(snap.ranking, {cfg.tier1_frames - 128});
   }
 
   std::vector<TenantResult> results;

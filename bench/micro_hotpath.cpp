@@ -5,9 +5,8 @@
 ///  * collector_merge — insert-or-increment a page-counter map with a
 ///    skewed key stream and close the epoch (the TruthCollector /
 ///    EpochObservation accumulation pattern),
-///  * ranking_build — produce the ranking prefix policies consume each
-///    epoch (flat merge + top-K selection); ranking_full is the same
-///    merge with a full sort,
+///  * ranking_full — build the ranking policies consume each epoch (flat
+///    merge + fuse + full sort, the daemon's path),
 ///  * step_parallel — end-to-end simulator steps with a TruthCollector
 ///    attached.
 ///
@@ -126,25 +125,17 @@ void fill_observation(core::EpochObservation& obs,
   }
 }
 
-/// `ranking_build` is the production path: flat merge + top-K selection
-/// at a capacity-sized k (the DaemonConfig::ranking_top_k path), so ops is
-/// consumable entries produced — the prefix a placement policy actually
-/// reads. `ranking_full` (k = 0) runs the full sort instead.
-Row run_ranking_build(std::uint64_t pages, std::uint64_t epochs,
-                      const std::vector<core::PageKey>& keys, std::size_t k) {
-  const bool full = k == 0;
+/// `ranking_full` is the daemon's path: flat merge + fuse + full sort, so
+/// ops is ranked entries produced.
+Row run_ranking_full(std::uint64_t pages, std::uint64_t epochs,
+                     const std::vector<core::PageKey>& keys) {
   core::EpochObservation obs;
   fill_observation(obs, keys);
   std::vector<core::PageRank> out;
   std::uint64_t checksum = 0;
   core::RankingScratch scratch;
   auto build = [&] {
-    if (full) {
-      core::build_ranking_into(obs, core::FusionMode::Sum, 1.0, scratch, out);
-    } else {
-      core::build_ranking_topk_into(obs, core::FusionMode::Sum, 1.0, k,
-                                    scratch, out);
-    }
+    core::build_ranking_into(obs, core::FusionMode::Sum, 1.0, scratch, out);
   };
   build();  // untimed warmup: size every reused buffer first
   const auto start = Clock::now();
@@ -153,13 +144,10 @@ Row run_ranking_build(std::uint64_t pages, std::uint64_t epochs,
     checksum += out.empty() ? 0 : out.front().rank;
   }
   const double elapsed = seconds_since(start);
-  const std::uint64_t consumable =
-      full ? out.size() : std::min<std::uint64_t>(k, out.size());
-  Row row{full ? "ranking_full" : "ranking_build", pages,
-          epochs * consumable, 0.0, 0.0};
+  Row row{"ranking_full", pages, epochs * out.size(), 0.0, 0.0};
   row.seconds = elapsed;
   row.ops_per_sec = static_cast<double>(row.ops) / row.seconds;
-  if (checksum == 0) std::cerr << "ranking_build: zero checksum?\n";
+  if (checksum == 0) std::cerr << "ranking_full: zero checksum?\n";
   return row;
 }
 
@@ -390,12 +378,8 @@ int main(int argc, char** argv) {
 
   for (const std::uint64_t pages : footprints) {
     const std::vector<core::PageKey> keys = make_key_stream(pages, touches);
-    // Capacity-sized k: policies consume at most the tier-1 frame count,
-    // typically a quarter-ish of the footprint in the paper's configs.
-    const std::size_t k = pages / 4;
     rows.push_back(run_collector_merge(pages, epochs, keys));
-    rows.push_back(run_ranking_build(pages, epochs, keys, k));
-    rows.push_back(run_ranking_build(pages, epochs, keys, 0));
+    rows.push_back(run_ranking_full(pages, epochs, keys));
   }
   // One end-to-end datapoint at the middle footprint.
   rows.push_back(run_step_parallel(16384, step_ops));

@@ -39,10 +39,9 @@ struct ChainRun {
 };
 
 /// Replay `spec` over `tiers` (fastest first): the scaled IBS profiler
-/// ticks each epoch, a two-tier chain reconciles through PageMover::apply
-/// and longer chains through apply_tiers (migration cost scales with tier
-/// distance), with 64 spare frames per bounded tier so reconciliation can
-/// stage exchanges.
+/// ticks each epoch and PageMover::apply reconciles the whole chain
+/// (migration cost scales with tier distance), with 64 spare frames per
+/// bounded tier so reconciliation can stage exchanges.
 inline ChainRun run_chain(const workloads::WorkloadSpec& spec,
                           const std::vector<mem::TierSpec>& tiers,
                           const ChainOptions& opt) {
@@ -72,9 +71,7 @@ inline ChainRun run_chain(const workloads::WorkloadSpec& spec,
   for (std::uint32_t e = 0; e < opt.epochs; ++e) {
     system.step(opt.ops_per_epoch);
     const core::ProfileSnapshot snap = daemon.tick();
-    const tiering::MoveStats moved =
-        tiers.size() == 2 ? mover.apply(snap.ranking, capacities[0])
-                          : mover.apply_tiers(snap.ranking, capacities);
+    const tiering::MoveStats moved = mover.apply(snap.ranking, capacities);
     result.migrations += moved.promoted + moved.demoted;
     result.promoted += moved.promoted;
     result.demoted += moved.demoted;

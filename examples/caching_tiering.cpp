@@ -55,7 +55,7 @@ struct Deployment {
     if (daemon) {
       const core::ProfileSnapshot snap = daemon->tick();
       const tiering::MoveStats stats =
-          mover->apply(snap.ranking, capacity_frames);
+          mover->apply(snap.ranking, {capacity_frames});
       moves = stats.promoted + stats.demoted;
     }
     const std::uint64_t t1 =

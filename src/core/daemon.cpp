@@ -216,30 +216,18 @@ void TmpDaemon::tick_into(ProfileSnapshot& snapshot) {
       t_rescaled_.inc();
     }
     const FusionParams fusion_params{fusion, weight, config_.devmon_weight};
-    if (config_.ranking_top_k > 0 && !snapshot.qos_fallback) {
-      build_ranking_topk_into(snapshot.observation, fusion_params,
-                              config_.ranking_top_k, ranking_scratch_,
-                              snapshot.ranking);
-    } else {
-      build_ranking_into(snapshot.observation, fusion_params,
-                         ranking_scratch_, snapshot.ranking);
-      if (snapshot.qos_fallback) {
-        // Demote batch pages to their A-bit evidence and restore the total
-        // order. The full ranking is built first so the top-K prefix after
-        // stripping matches what a full re-rank would publish.
-        for (PageRank& pr : snapshot.ranking) {
-          if (qos_is_batch_(pr.key.pid)) {
-            pr.rank = pr.abit;
-            pr.trace = 0;
-          }
-        }
-        std::sort(snapshot.ranking.begin(), snapshot.ranking.end(),
-                  RankOrder{});
-        if (config_.ranking_top_k > 0 &&
-            snapshot.ranking.size() > config_.ranking_top_k) {
-          snapshot.ranking.resize(config_.ranking_top_k);
+    build_ranking_into(snapshot.observation, fusion_params, ranking_scratch_,
+                       snapshot.ranking);
+    if (snapshot.qos_fallback) {
+      // Demote batch pages to their A-bit evidence and restore the order.
+      for (PageRank& pr : snapshot.ranking) {
+        if (qos_is_batch_(pr.key.pid)) {
+          pr.rank = pr.abit;
+          pr.trace = 0;
         }
       }
+      std::sort(snapshot.ranking.begin(), snapshot.ranking.end(),
+                RankOrder{});
     }
   }
 

@@ -59,13 +59,6 @@ struct DaemonConfig {
   /// Pin the last good ranking after this many consecutive bad scans
   /// (aborted or empty). 0 disables the watchdog.
   std::uint32_t watchdog_threshold = 3;
-  /// Publish only the top K ranking entries per epoch via the selection
-  /// sort (core::build_ranking_topk; docs/PERFORMANCE.md). 0 (default)
-  /// publishes the full ranking — required by consumers that read *all*
-  /// entries (BadgerTrap poison sync, Fig. 5 tails), and what every
-  /// golden was recorded with. When set, the published prefix is bitwise
-  /// identical to the full ranking's first K entries.
-  std::size_t ranking_top_k = 0;
 };
 
 /// Cumulative degradation tallies (how often each fallback engaged).

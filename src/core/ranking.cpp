@@ -14,8 +14,8 @@ namespace {
 /// page to its position in `out` so the second source and the writes
 /// ride-along patch in place. The final fuse pass is then a sequential
 /// sweep of `out` rather than a strided walk of a wide hash table. Output
-/// order here is slot order, but every caller sorts (fully or top-K) under
-/// the total RankOrder, which erases it.
+/// order here is slot order, but every caller sorts under the total
+/// RankOrder, which erases it.
 void merge_observation(const EpochObservation& obs, const FusionParams& params,
                        RankingScratch& scratch, std::vector<PageRank>& out) {
   const FusionMode mode = params.mode;
@@ -131,42 +131,6 @@ std::vector<PageRank> build_ranking(const EpochObservation& obs,
   RankingScratch scratch;
   std::vector<PageRank> ranked;
   build_ranking_into(obs, mode, trace_weight, scratch, ranked);
-  return ranked;
-}
-
-void build_ranking_topk_into(const EpochObservation& obs,
-                             const FusionParams& params, std::size_t k,
-                             RankingScratch& scratch,
-                             std::vector<PageRank>& out) {
-  merge_observation(obs, params, scratch, out);
-  if (k >= out.size()) {
-    std::sort(out.begin(), out.end(), RankOrder{});
-    return;
-  }
-  // RankOrder is a strict total order over distinct pages, so the k
-  // smallest-under-the-order elements are a unique set: partitioning with
-  // nth_element and then sorting the prefix reproduces the full sort's
-  // first k entries bit for bit.
-  std::nth_element(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(k),
-                   out.end(), RankOrder{});
-  out.resize(k);
-  std::sort(out.begin(), out.end(), RankOrder{});
-}
-
-void build_ranking_topk_into(const EpochObservation& obs, FusionMode mode,
-                             double trace_weight, std::size_t k,
-                             RankingScratch& scratch,
-                             std::vector<PageRank>& out) {
-  build_ranking_topk_into(obs, FusionParams{mode, trace_weight, 1.0}, k,
-                          scratch, out);
-}
-
-std::vector<PageRank> build_ranking_topk(const EpochObservation& obs,
-                                         FusionMode mode, double trace_weight,
-                                         std::size_t k) {
-  RankingScratch scratch;
-  std::vector<PageRank> ranked;
-  build_ranking_topk_into(obs, mode, trace_weight, k, scratch, ranked);
   return ranked;
 }
 

@@ -591,11 +591,19 @@ bool System::migrate_page(mem::Pid pid, mem::VirtAddr page_va,
   TMPROF_EXPECTS(ref && ref.page_va == page_va);
   const mem::Pfn old_pfn = ref.pte->pfn();
   if (phys_.tier_of(old_pfn) == target) return true;  // already there
-  const std::uint32_t arena =
-      phys_.arenas() > 1
-          ? static_cast<std::uint32_t>(pid) % phys_.arenas()
-          : 0;
-  const auto new_pfn = phys_.alloc_exact(target, pid, page_va, ref.size, arena);
+  // The owner's arena is only a preference here: migrations run at the
+  // single-threaded epoch barrier, so when it is full the other arenas are
+  // tried in ascending index order (deterministic at any thread count).
+  // Otherwise frames freed by demotions in other arenas stay out of reach
+  // while the tier as a whole has room.
+  const std::uint32_t arenas = phys_.arenas();
+  const std::uint32_t home = static_cast<std::uint32_t>(pid % arenas);
+  auto new_pfn = phys_.alloc_exact(target, pid, page_va, ref.size, home);
+  for (std::uint32_t a = 0; !new_pfn && a < arenas; ++a) {
+    if (a != home) {
+      new_pfn = phys_.alloc_exact(target, pid, page_va, ref.size, a);
+    }
+  }
   if (!new_pfn) return false;
   ref.pte->set_pfn(*new_pfn);
   phys_.free(old_pfn);

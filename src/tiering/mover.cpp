@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <unordered_map>
 
 #include "core/hotness.hpp"
@@ -11,6 +12,15 @@
 #include "util/ckpt.hpp"
 
 namespace tmprof::tiering {
+
+namespace {
+/// Backoff charged before the first retry of a transient (EBUSY) failure;
+/// doubles per further retry.
+constexpr util::SimNs kRetryBackoffNs = 5 * util::kMicrosecond;
+/// Bound on the deferred-promotion queue; overflow drops the newest (and
+/// coldest) entries rather than growing without limit.
+constexpr std::size_t kMaxDeferred = 4096;
+}  // namespace
 
 PageMover::PageMover(sim::System& system, const MoverConfig& config)
     : system_(system),
@@ -118,7 +128,7 @@ PageMover::MoveOutcome PageMover::try_move(const PageKey& key, mem::TierId dest,
         ++attempt;
         ++stats.retried;
         --budget;
-        stats.backoff_ns += config_.retry_backoff_ns << (attempt - 1);
+        stats.backoff_ns += kRetryBackoffNs << (attempt - 1);
         continue;
       }
       if (fault_.fire(util::FaultSite::MigrationNoMem, fkey)) {
@@ -226,8 +236,8 @@ void PageMover::arbitrate_quotas(const PlacementSet& desired,
 
 void PageMover::defer_promotion(const PageKey& key, mem::TierId dest,
                                 MoveStats& stats) {
-  if (deferred_.size() >= config_.max_deferred) return;  // queue full: drop
-  if (!deferred_set_.insert(key).second) return;         // already queued
+  if (deferred_.size() >= kMaxDeferred) return;     // queue full: drop
+  if (!deferred_set_.insert(key).second) return;  // already queued
   deferred_.push_back(DeferredMove{key, dest});
   ++stats.deferred;
 }
@@ -236,11 +246,6 @@ void PageMover::drain_deferred(MoveStats& stats, std::uint64_t& budget) {
   if (deferred_.empty()) return;
   std::vector<DeferredMove> keep;
   for (const DeferredMove& d : deferred_) {
-    if (config_.max_promotions != 0 &&
-        stats.promoted >= config_.max_promotions) {
-      keep.push_back(d);
-      continue;
-    }
     sim::Process& proc = system_.process(d.key.pid);
     const mem::PteRef ref = proc.page_table().resolve(d.key.page_va);
     if (!ref) {  // page vanished while queued
@@ -309,35 +314,52 @@ void PageMover::drain_deferred(MoveStats& stats, std::uint64_t& budget) {
 }
 
 MoveStats PageMover::apply(const std::vector<core::PageRank>& ranking,
-                           std::uint64_t capacity_frames) {
+                           const std::vector<std::uint64_t>& capacities) {
+  TMPROF_EXPECTS(!capacities.empty());
+  TMPROF_EXPECTS(capacities.size() + 1 <= system_.phys().tier_count());
   if (ranking.empty()) return MoveStats{};
+  const auto bottom = static_cast<mem::TierId>(capacities.size());
 
-  // Desired resident set: hottest pages first until capacity is filled.
-  // Pages below the noise floor are not worth a migration; the residents
-  // they would have displaced simply stay put.
-  PlacementSet desired;
-  std::uint64_t used = 0;
+  // Waterfall targets in rank order: the hottest pages fill tier 0 first,
+  // spilling down the ladder. Pages below the noise floor (or beyond every
+  // capacity) get no target: they are not worth a migration, and the
+  // residents they would have displaced simply stay put.
+  PlacementSet desired;  // tier 0's targets
+  LowerTargets lower;    // targets in tiers 1 .. bottom - 1
+  std::vector<std::uint64_t> used(capacities.size(), 0);
+  std::uint64_t room = std::accumulate(capacities.begin(), capacities.end(),
+                                       std::uint64_t{0});
   for (const core::PageRank& pr : ranking) {
     if (pr.rank < config_.min_rank) break;  // ranking is descending
     sim::Process& proc = system_.process(pr.key.pid);
     const mem::PteRef ref = proc.page_table().resolve(pr.key.page_va);
     if (!ref) continue;  // page vanished
     const std::uint64_t frames = mem::pages_in(ref.size);
-    if (used + frames > capacity_frames) continue;
-    desired.insert(pr.key);
-    used += frames;
-    if (used >= capacity_frames) break;
+    for (mem::TierId t = 0; t < bottom; ++t) {
+      if (used[t] + frames > capacities[t]) continue;
+      used[t] += frames;
+      room -= frames;
+      if (t == 0) {
+        desired.insert(pr.key);
+      } else {
+        lower.try_emplace(pr.key, t);
+      }
+      break;
+    }
+    if (room == 0) break;  // every tier is full
   }
-  return reconcile(desired, ranking);
+  return reconcile(desired, lower, ranking, bottom);
 }
 
 MoveStats PageMover::apply_placement(
     const PlacementSet& desired, const std::vector<core::PageRank>& ranking) {
-  return reconcile(desired, ranking);
+  return reconcile(desired, LowerTargets{}, ranking, 1);
 }
 
 MoveStats PageMover::reconcile(const PlacementSet& desired,
-                               const std::vector<core::PageRank>& ranking) {
+                               const LowerTargets& lower,
+                               const std::vector<core::PageRank>& ranking,
+                               mem::TierId bottom) {
   MoveStats stats;
   const util::SimNs apply_begin = system_.now();
   std::uint64_t budget = budget_for_apply();
@@ -356,162 +378,166 @@ MoveStats PageMover::reconcile(const PlacementSet& desired,
   // refill above — the bandwidth carve splits post-refill tokens — and
   // before admission verdicts, so quota-denied pages are never scored.
   if (arbiter_ != nullptr) arbitrate_quotas(desired, ranking);
+
+  // A page's target tier: 0 for desired pages, its waterfall tier for
+  // lower targets, else `bottom` — no target, so it sinks there when its
+  // space is needed. Desired pages the arbiter refused quota this epoch
+  // count as untargeted: they are exactly the over-quota burst pages
+  // reclaim exists to take back.
+  auto target_of = [&](const PageKey& key) -> mem::TierId {
+    if (desired.count(key) != 0) return quota_denied(key) ? bottom : 0;
+    const auto it = lower.find(key);
+    return it == lower.end() ? bottom : it->second;
+  };
+  // Calls `fn(key)` on every ranked page in ranking order, then on every
+  // desired page in set order — which reaches the desired pages the
+  // ranking never mentioned (e.g., a sticky policy's carried-over
+  // residents) last. Ranked desired pages are visited twice: admission
+  // verdicts are memoized and a promoted page is skipped, but a page that
+  // did not move is tried (and tallied) again; the deferred queue holds it
+  // once.
+  auto for_each_candidate = [&](auto&& fn) {
+    for (const core::PageRank& pr : ranking) fn(pr.key);
+    for (const PageKey& key : desired) fn(key);
+  };
   if (admission_.enabled()) {
-    auto consider = [&](const PageKey& key) {
-      if (quota_denied(key)) return;
+    for_each_candidate([&](const PageKey& key) {
+      const mem::TierId target = target_of(key);
+      if (target == bottom) return;
       sim::Process& proc = system_.process(key.pid);
       const mem::PteRef ref = proc.page_table().resolve(key.page_va);
       if (!ref) return;
-      if (system_.phys().tier_of(ref.pte->pfn()) == 0) return;  // resident
+      if (system_.phys().tier_of(ref.pte->pfn()) <= target) return;
       (void)admit_once(key, ref.size, stats);
-    };
-    for (const core::PageRank& pr : ranking) {
-      if (desired.count(pr.key) != 0) consider(pr.key);
-    }
-    for (const PageKey& key : desired) consider(key);
+    });
   }
 
-  // Demote cold tier-1 residents so promotions have room — *coldest first*,
-  // so a hot resident that merely escaped this epoch's sparse sample is the
-  // last to go. Demotion is lazy: pages move out only when the desired set
-  // actually needs the space.
+  // Demote first, working the ladder bottom-up: a tier can only shed pages
+  // into the tiers below it, so space must open at the bottom before the
+  // top can drain. Each tier sheds residents *coldest first*, so a hot
+  // resident that merely escaped this epoch's sparse sample is the last to
+  // go. Demotion is lazy: pages move out only when the pages targeted at
+  // the tier actually need the space.
   std::unordered_map<PageKey, std::uint64_t, PageKeyHash> rank_of;
   rank_of.reserve(ranking.size());
   for (const core::PageRank& pr : ranking) rank_of.emplace(pr.key, pr.rank);
-  auto t1_pages = residents(0);
-  if (arbiter_ != nullptr) {
-    // QoS-aware reclaim (docs/CONSOLIDATION.md): batch (and unregistered)
-    // tenants' burst pages go first, latency tenants' pages last; within a
-    // class coldest first, ties on ascending key. A strict total order, so
-    // the reclaim sequence is bitwise thread-count invariant.
-    auto protected_class = [&](const PageKey& key) -> int {
-      const std::uint32_t tenant = arbiter_->tenant_of(key.pid);
-      return tenant != TenantArbiter::kNoTenant &&
-                     arbiter_->spec(tenant).qos == QosClass::Latency
-                 ? 1
-                 : 0;
+  auto rank = [&](const PageKey& key) -> std::uint64_t {
+    const auto it = rank_of.find(key);
+    return it == rank_of.end() ? 0 : it->second;
+  };
+  for (mem::TierId tier = bottom; tier-- > 0;) {
+    std::uint64_t need = 0;
+    auto count_need = [&](const PageKey& key) {
+      if (target_of(key) != tier) return;
+      if (admission_rejected(key)) return;  // will not move: reserves nothing
+      sim::Process& proc = system_.process(key.pid);
+      const mem::PteRef ref = proc.page_table().resolve(key.page_va);
+      if (ref && system_.phys().tier_of(ref.pte->pfn()) != tier) {
+        need += mem::pages_in(ref.size);
+      }
     };
-    std::sort(t1_pages.begin(), t1_pages.end(),
-              [&](const auto& a, const auto& b) {
-                const int ca = protected_class(a.first);
-                const int cb = protected_class(b.first);
-                if (ca != cb) return ca < cb;
-                const auto ra = rank_of.find(a.first);
-                const auto rb = rank_of.find(b.first);
-                const std::uint64_t va = ra == rank_of.end() ? 0 : ra->second;
-                const std::uint64_t vb = rb == rank_of.end() ? 0 : rb->second;
-                if (va != vb) return va < vb;
-                return a.first < b.first;
-              });
-  } else {
-    std::stable_sort(t1_pages.begin(), t1_pages.end(),
-                     [&](const auto& a, const auto& b) {
-                       const auto ra = rank_of.find(a.first);
-                       const auto rb = rank_of.find(b.first);
-                       const std::uint64_t va =
-                           ra == rank_of.end() ? 0 : ra->second;
-                       const std::uint64_t vb =
-                           rb == rank_of.end() ? 0 : rb->second;
-                       return va < vb;
-                     });
-  }
-  // Per-tenant fast-tier occupancy, maintained through the demote loop so
-  // the floor guard sees live balances.
-  std::vector<std::uint64_t> occupancy;
-  if (arbiter_ != nullptr) {
-    occupancy.assign(arbiter_->size(), 0);
-    for (const auto& [key, size] : t1_pages) {
-      const std::uint32_t tenant = arbiter_->tenant_of(key.pid);
-      if (tenant != TenantArbiter::kNoTenant) {
-        occupancy[tenant] += mem::pages_in(size);
+    for (const PageKey& key : desired) count_need(key);
+    for (const auto& entry : lower) count_need(entry.first);
+    std::uint64_t free_frames = system_.phys().free_frames(tier);
+    if (need <= free_frames) continue;
+
+    auto pages = residents(tier);
+    // Fast-tier reclaim under a tenant arbiter (docs/CONSOLIDATION.md) is
+    // QoS-aware: batch (and unregistered) tenants' burst pages go first,
+    // latency tenants' pages last; within a class coldest first, ties on
+    // ascending key. A strict total order, so the reclaim sequence is
+    // bitwise thread-count invariant. Per-tenant occupancy is maintained
+    // through the demote loop so the floor guard sees live balances.
+    const bool reclaim = arbiter_ != nullptr && tier == 0;
+    std::vector<std::uint64_t> occupancy;
+    if (reclaim) {
+      auto protected_class = [&](const PageKey& key) -> int {
+        const std::uint32_t tenant = arbiter_->tenant_of(key.pid);
+        return tenant != TenantArbiter::kNoTenant &&
+                       arbiter_->spec(tenant).qos == QosClass::Latency
+                   ? 1
+                   : 0;
+      };
+      std::sort(pages.begin(), pages.end(), [&](const auto& a, const auto& b) {
+        const int ca = protected_class(a.first);
+        const int cb = protected_class(b.first);
+        if (ca != cb) return ca < cb;
+        const std::uint64_t ra = rank(a.first);
+        const std::uint64_t rb = rank(b.first);
+        if (ra != rb) return ra < rb;
+        return a.first < b.first;
+      });
+      occupancy.assign(arbiter_->size(), 0);
+      for (const auto& [key, size] : pages) {
+        const std::uint32_t tenant = arbiter_->tenant_of(key.pid);
+        if (tenant != TenantArbiter::kNoTenant) {
+          occupancy[tenant] += mem::pages_in(size);
+        }
       }
+    } else {
+      std::stable_sort(pages.begin(), pages.end(),
+                       [&](const auto& a, const auto& b) {
+                         return rank(a.first) < rank(b.first);
+                       });
     }
-  }
-  std::uint64_t need_frames = 0;
-  for (const PageKey& key : desired) {
-    if (admission_rejected(key)) continue;  // will not move: reserve nothing
-    if (quota_denied(key)) continue;        // over quota: reserves nothing
-    sim::Process& proc = system_.process(key.pid);
-    const mem::PteRef ref = proc.page_table().resolve(key.page_va);
-    if (ref && system_.phys().tier_of(ref.pte->pfn()) != 0) {
-      need_frames += mem::pages_in(ref.size);
-    }
-  }
-  std::uint64_t free_t1 = system_.phys().free_frames(0);
-  for (const auto& [key, size] : t1_pages) {
-    if (need_frames <= free_t1) break;
-    // Desired residents keep demotion protection — unless the arbiter
-    // refused them quota this epoch, in which case they are exactly the
-    // over-quota burst pages reclaim exists to take back.
-    if (desired.count(key) != 0 && !quota_denied(key)) continue;
-    const std::uint64_t frames = mem::pages_in(size);
-    std::uint32_t tenant = TenantArbiter::kNoTenant;
-    if (arbiter_ != nullptr) {
-      tenant = arbiter_->tenant_of(key.pid);
-      if (tenant != TenantArbiter::kNoTenant &&
-          occupancy[tenant] < arbiter_->floor_of(tenant) + frames) {
-        continue;  // the floor is inviolable: only burst is reclaimable
+    for (const auto& [key, size] : pages) {
+      if (need <= free_frames) break;
+      const mem::TierId dest = target_of(key);
+      if (dest <= tier) continue;  // targeted here (or faster): protected
+      const std::uint64_t frames = mem::pages_in(size);
+      std::uint32_t tenant = TenantArbiter::kNoTenant;
+      if (reclaim) {
+        tenant = arbiter_->tenant_of(key.pid);
+        if (tenant != TenantArbiter::kNoTenant &&
+            occupancy[tenant] < arbiter_->floor_of(tenant) + frames) {
+          continue;  // the floor is inviolable: only burst is reclaimable
+        }
       }
-    }
-    if (try_move(key, 1, stats, budget) == MoveOutcome::Moved) {
-      ++stats.demoted;
-      stats.cost_ns += hop_cost(0, 1);
-      stats.moved_bytes += frames << mem::kPageShift;
-      free_t1 += frames;
-      admission_.note_demoted(key);
-      if (tenant != TenantArbiter::kNoTenant) {
-        occupancy[tenant] -= frames;
-        arbiter_->note_reclaimed(key.pid, frames);
+      if (try_move(key, dest, stats, budget) == MoveOutcome::Moved) {
+        ++stats.demoted;
+        stats.cost_ns += hop_cost(tier, dest);
+        stats.moved_bytes += frames << mem::kPageShift;
+        free_frames += frames;
+        admission_.note_demoted(key);
+        if (tenant != TenantArbiter::kNoTenant) {
+          occupancy[tenant] -= frames;
+          arbiter_->note_reclaimed(key.pid, frames);
+        }
       }
+      // Failed demotions are not deferred: the resident stays put and is
+      // naturally reconsidered next epoch.
     }
-    // Failed demotions are not deferred: the resident stays in tier 1 and
-    // is naturally reconsidered next epoch.
   }
 
-  // Promote the desired pages that still live in tier 2, hottest first.
-  auto promote = [&](const PageKey& key) {
-    if (quota_denied(key)) return;
+  // Promote every targeted page that lives in a slower tier than its
+  // target, hottest first.
+  for_each_candidate([&](const PageKey& key) {
+    const mem::TierId target = target_of(key);
+    if (target == bottom) return;
     if (admission_rejected(key)) return;
     sim::Process& proc = system_.process(key.pid);
     const mem::PteRef ref = proc.page_table().resolve(key.page_va);
     if (!ref) return;
     const mem::TierId src = system_.phys().tier_of(ref.pte->pfn());
-    if (src == 0) return;
-    if (mem::pages_in(ref.size) > system_.phys().free_frames(0)) {
+    if (src <= target) return;  // already fast enough
+    if (mem::pages_in(ref.size) > system_.phys().free_frames(target)) {
       ++stats.no_room;
-      defer_promotion(key, 0, stats);
+      defer_promotion(key, target, stats);
       return;
     }
-    switch (try_move(key, 0, stats, budget)) {
+    switch (try_move(key, target, stats, budget)) {
       case MoveOutcome::Moved:
         ++stats.promoted;
-        stats.cost_ns += hop_cost(src, 0);
+        stats.cost_ns += hop_cost(src, target);
         stats.moved_bytes += mem::pages_in(ref.size) << mem::kPageShift;
         break;
       case MoveOutcome::NoRoom:
-        defer_promotion(key, 0, stats);
+        defer_promotion(key, target, stats);
         break;
       case MoveOutcome::Aborted:
         break;  // retry budget exhausted: dropped for this epoch
     }
-  };
-  for (const core::PageRank& pr : ranking) {
-    if (config_.max_promotions != 0 &&
-        stats.promoted >= config_.max_promotions) {
-      break;
-    }
-    if (desired.count(pr.key) == 0) continue;
-    promote(pr.key);
-  }
-  // Desired pages the ranking never mentioned (e.g., a sticky policy's
-  // carried-over residents) are promoted last, in set order.
-  for (const PageKey& key : desired) {
-    if (config_.max_promotions != 0 &&
-        stats.promoted >= config_.max_promotions) {
-      break;
-    }
-    promote(key);
-  }
+  });
 
   drain_deferred(stats, budget);
   if (arbiter_ != nullptr) {
@@ -528,120 +554,6 @@ MoveStats PageMover::reconcile(const PlacementSet& desired,
       arbiter_->set_occupancy(t, held[t]);
     }
   }
-  system_.advance_time(stats.cost_ns + stats.backoff_ns);
-  note_apply(stats, apply_begin);
-  return stats;
-}
-
-MoveStats PageMover::apply_tiers(const std::vector<core::PageRank>& ranking,
-                                 const std::vector<std::uint64_t>& capacities) {
-  TMPROF_EXPECTS(!capacities.empty());
-  TMPROF_EXPECTS(capacities.size() + 1 <= system_.phys().tier_count());
-  MoveStats stats;
-  if (ranking.empty()) return stats;
-  const util::SimNs apply_begin = system_.now();
-  std::uint64_t budget = budget_for_apply();
-  const auto bottom = static_cast<mem::TierId>(capacities.size());
-
-  // Assign each ranked page a target tier in rank order: hottest pages
-  // fill the fastest tier first, spilling down the ladder.
-  std::unordered_map<PageKey, mem::TierId, PageKeyHash> target;
-  target.reserve(ranking.size());
-  std::vector<std::uint64_t> used(capacities.size(), 0);
-  for (const core::PageRank& pr : ranking) {
-    if (pr.rank < config_.min_rank) break;
-    sim::Process& proc = system_.process(pr.key.pid);
-    const mem::PteRef ref = proc.page_table().resolve(pr.key.page_va);
-    if (!ref) continue;
-    const std::uint64_t frames = mem::pages_in(ref.size);
-    mem::TierId assigned = bottom;
-    for (std::size_t t = 0; t < capacities.size(); ++t) {
-      if (used[t] + frames <= capacities[t]) {
-        used[t] += frames;
-        assigned = static_cast<mem::TierId>(t);
-        break;
-      }
-    }
-    if (assigned != bottom) target.emplace(pr.key, assigned);
-  }
-
-  // Admission pre-pass: score upward moves in ranking order before any
-  // demotion is sized (same rationale as reconcile()). Rejected pages keep
-  // their target entry, so the demote loop's `it->second <= tier` check
-  // still protects residents the gate refused to re-promote.
-  if (admission_.enabled()) {
-    admission_.begin_epoch(system_.now(), ranking);
-    admission_memo_.clear();
-    for (const core::PageRank& pr : ranking) {
-      const auto it = target.find(pr.key);
-      if (it == target.end()) continue;
-      sim::Process& proc = system_.process(pr.key.pid);
-      const mem::PteRef ref = proc.page_table().resolve(pr.key.page_va);
-      if (!ref) continue;
-      if (system_.phys().tier_of(ref.pte->pfn()) <= it->second) continue;
-      (void)admit_once(pr.key, ref.size, stats);
-    }
-  }
-
-  // Demote first, working the ladder bottom-up: a tier can only shed pages
-  // into the tiers below it, so space must open at the bottom before the
-  // top can drain. Residents with no (or a slower) target leave when the
-  // incoming set needs their space; unranked pages sink to the bottom tier
-  // so they never squat on a middle tier another page was assigned.
-  for (mem::TierId tier = bottom; tier-- > 0;) {
-    std::uint64_t need = 0;
-    for (const auto& [key, t] : target) {
-      if (t != tier) continue;
-      if (admission_rejected(key)) continue;  // will not move in
-      sim::Process& proc = system_.process(key.pid);
-      const mem::PteRef ref = proc.page_table().resolve(key.page_va);
-      if (ref && system_.phys().tier_of(ref.pte->pfn()) != tier) {
-        need += mem::pages_in(ref.size);
-      }
-    }
-    std::uint64_t free_frames = system_.phys().free_frames(tier);
-    for (const auto& [key, size] : residents(tier)) {
-      if (need <= free_frames) break;
-      const auto it = target.find(key);
-      if (it != target.end() && it->second <= tier) continue;
-      const mem::TierId dest = it == target.end() ? bottom : it->second;
-      if (try_move(key, dest, stats, budget) == MoveOutcome::Moved) {
-        ++stats.demoted;
-        stats.cost_ns += hop_cost(tier, dest);
-        stats.moved_bytes += mem::pages_in(size) << mem::kPageShift;
-        free_frames += mem::pages_in(size);
-        admission_.note_demoted(key);
-      }
-    }
-  }
-  for (const core::PageRank& pr : ranking) {
-    const auto it = target.find(pr.key);
-    if (it == target.end()) continue;
-    sim::Process& proc = system_.process(pr.key.pid);
-    const mem::PteRef ref = proc.page_table().resolve(pr.key.page_va);
-    if (!ref) continue;
-    const mem::TierId current = system_.phys().tier_of(ref.pte->pfn());
-    if (current <= it->second) continue;  // already fast enough
-    if (admission_rejected(pr.key)) continue;
-    if (mem::pages_in(ref.size) > system_.phys().free_frames(it->second)) {
-      ++stats.no_room;
-      defer_promotion(pr.key, it->second, stats);
-      continue;
-    }
-    switch (try_move(pr.key, it->second, stats, budget)) {
-      case MoveOutcome::Moved:
-        ++stats.promoted;
-        stats.cost_ns += hop_cost(current, it->second);
-        stats.moved_bytes += mem::pages_in(ref.size) << mem::kPageShift;
-        break;
-      case MoveOutcome::NoRoom:
-        defer_promotion(pr.key, it->second, stats);
-        break;
-      case MoveOutcome::Aborted:
-        break;
-    }
-  }
-  drain_deferred(stats, budget);
   system_.advance_time(stats.cost_ns + stats.backoff_ns);
   note_apply(stats, apply_begin);
   return stats;

@@ -1,10 +1,12 @@
 #pragma once
 /// \file mover.hpp
-/// The page mover (Section IV, Step 3): reconciles tier-1 residency with
-/// the policy's decision at each epoch horizon. Demotions free room first,
-/// then promotions fill it; each page move performs the remap + shootdown
-/// through the System and charges the configured per-page migration cost
-/// (the paper's emulation uses 50 µs per page).
+/// The page mover (Section IV, Step 3): reconciles residency across the
+/// tier ladder with the policy's decision at each epoch horizon, through
+/// one routine for any number of tiers. Demotions free room first
+/// (coldest residents first), then promotions fill it; each page move
+/// performs the remap + shootdown through the System and charges the
+/// configured per-page migration cost (the paper's emulation uses 50 µs
+/// per page).
 ///
 /// Robustness layer (docs/ROBUSTNESS.md): migrations can fail the way
 /// `move_pages()` fails on real kernels. Transient -EBUSY-style failures
@@ -81,19 +83,11 @@ struct MoverConfig {
   /// Section IV). Rank 1 is the tie mass every touched page reaches via a
   /// single A-bit observation; demanding 2+ filters the noise floor.
   std::uint64_t min_rank = 2;
-  /// Upper bound on promotions per apply() (0 = unlimited); bounds the
-  /// per-epoch migration burst on noisy profiles.
-  std::uint64_t max_promotions = 0;
   /// Retries allowed per move after a transient (EBUSY) failure.
   std::uint32_t max_retries = 3;
-  /// Backoff charged before the first retry; doubles per further retry.
-  util::SimNs retry_backoff_ns = 5 * util::kMicrosecond;
   /// Total retries allowed per apply call (0 = unlimited). When the budget
   /// runs out, further transient failures abort instead of retrying.
   std::uint64_t retry_budget = 128;
-  /// Bound on the deferred-promotion queue; overflow drops the coldest
-  /// (newest) entries rather than growing without limit.
-  std::size_t max_deferred = 4096;
   /// Deterministic fault injection (disabled by default: rate 0).
   util::FaultConfig fault{};
   /// Migration admission control (docs/ADMISSION.md). Off by default: the
@@ -105,32 +99,31 @@ class PageMover {
  public:
   explicit PageMover(sim::System& system, const MoverConfig& config = {});
 
-  /// Make tier 1 hold (as nearly as possible) the hottest ranked pages that
-  /// fit in `capacity_frames`. Charges migration time to the system clock.
-  MoveStats apply(const std::vector<core::PageRank>& ranking,
-                  std::uint64_t capacity_frames);
-
-  /// Reconcile tier-1 residency with an explicit placement decision (the
-  /// output of any tiering::Policy). `ranking` orders promotions and
-  /// identifies cold residents for demotion; pages in `desired` are moved
-  /// in regardless of the min_rank noise floor (the policy already chose).
-  MoveStats apply_placement(const PlacementSet& desired,
-                            const std::vector<core::PageRank>& ranking);
-
-  /// Waterfall placement across an arbitrary tier ladder: the hottest
-  /// ranked pages fill tier 0 up to capacities[0], the next-hottest fill
-  /// tier 1 up to capacities[1], and so on; pages below the noise floor
-  /// (or beyond every capacity) belong in the last tier. One capacity per
-  /// tier above the bottom; requires the System to have
-  /// capacities.size() + 1 tiers.
+  /// Waterfall placement over the tier ladder: the hottest ranked pages
+  /// fill tier 0 up to capacities[0], the next-hottest fill tier 1 up to
+  /// capacities[1], and so on; pages below the min_rank noise floor (or
+  /// beyond every capacity) get no target and sink to the bottom tier,
+  /// tier capacities.size(), when their space is needed. One capacity per
+  /// tier above the bottom — a two-tier machine passes {tier-0 capacity} —
+  /// and the System needs capacities.size() + 1 tiers. Charges migration
+  /// time to the system clock.
   ///
   /// Like real tiering kernels, reconciliation needs a few spare frames in
   /// the destination tiers to stage exchanges: if every tier is 100% full,
   /// demotions (and therefore the promotions waiting on them) fail
   /// gracefully — reported in MoveStats::no_room — and the blocked
   /// promotions are parked on the deferred queue for later epochs.
-  MoveStats apply_tiers(const std::vector<core::PageRank>& ranking,
-                        const std::vector<std::uint64_t>& capacities);
+  MoveStats apply(const std::vector<core::PageRank>& ranking,
+                  const std::vector<std::uint64_t>& capacities);
+
+  /// Reconcile tier-0 residency with an explicit placement decision (the
+  /// output of any tiering::Policy): `desired` is tier 0's target set and
+  /// every other tier-0 resident sinks to tier 1 when room is needed.
+  /// `ranking` orders promotions and identifies cold residents for
+  /// demotion; pages in `desired` are moved in regardless of the min_rank
+  /// noise floor (the policy already chose).
+  MoveStats apply_placement(const PlacementSet& desired,
+                            const std::vector<core::PageRank>& ranking);
 
   /// Enumerate pages currently resident in tier `tier` with their sizes.
   [[nodiscard]] std::vector<std::pair<PageKey, mem::PageSize>> residents(
@@ -175,8 +168,18 @@ class PageMover {
  private:
   enum class MoveOutcome : std::uint8_t { Moved, NoRoom, Aborted };
 
-  MoveStats reconcile(const PlacementSet& desired,
-                      const std::vector<core::PageRank>& ranking);
+  /// Target tiers below tier 0 (apply's waterfall spill), by page.
+  using LowerTargets = core::PageMap<mem::TierId>;
+
+  /// The one reconciliation over tiers 0 .. `bottom`: `desired` pages
+  /// target tier 0, `lower` pages their mapped tier, and every other page
+  /// sinks to `bottom`. Runs the quota and admission pre-passes, demotes
+  /// bottom-up (coldest first at every tier, only as far as the pages
+  /// targeted at the tier need room), promotes in ranking order then
+  /// leftover desired order, and drains the deferred queue.
+  MoveStats reconcile(const PlacementSet& desired, const LowerTargets& lower,
+                      const std::vector<core::PageRank>& ranking,
+                      mem::TierId bottom);
   /// One migration with retry/backoff; `budget` is the remaining per-apply
   /// retry budget. Increments retried/aborted/no_room; the caller accounts
   /// promoted/demoted and the per-page cost on Moved.

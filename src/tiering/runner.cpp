@@ -247,7 +247,7 @@ RunnerResult run_impl(const WorkloadFactory& factory,
       const std::vector<core::PageRank>* ranking =
           next < oracle_rankings.size() ? &oracle_rankings[next]
                                         : &snapshot.ranking;
-      const MoveStats moved = mover.apply(*ranking, fast_frames);
+      const MoveStats moved = mover.apply(*ranking, {fast_frames});
       result.migrations += moved.promoted + moved.demoted;
       result.moves.merge(moved);
     } else if (migrate) {

@@ -160,12 +160,10 @@ TEST(AllocHotpath, RankingBuildSteadyStateAllocatesNothing) {
       fill_obs();
       core::build_ranking_into(obs, core::FusionMode::Sum, 1.0, scratch,
                                ranking);
-      core::build_ranking_topk_into(obs, core::FusionMode::Sum, 1.0, 64,
-                                    scratch, ranking);
     }
   });
   EXPECT_EQ(allocs, 0U);
-  EXPECT_EQ(ranking.size(), 64U);
+  EXPECT_EQ(ranking.size(), kPages);
 }
 
 TEST(AllocHotpath, ObservationSwapClearRecyclesCapacity) {

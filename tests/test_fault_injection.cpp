@@ -180,7 +180,7 @@ TEST(FaultInjectionMover, BusyFaultsRetryWithBackoffThenAbort) {
   PageMover mover(sys, mcfg);
   const util::SimNs before = sys.now();
   const auto ranking = rank_pages(sys, pid, {6, 7, 8, 9});
-  const MoveStats stats = mover.apply(ranking, 4);
+  const MoveStats stats = mover.apply(ranking, {4});
   // Every demotion retried max_retries times then aborted; with no room
   // freed, every promotion parked on the deferred queue.
   EXPECT_EQ(stats.promoted, 0U);
@@ -205,7 +205,7 @@ TEST(FaultInjectionMover, RetryBudgetBoundsRetriesPerApply) {
   mcfg.retry_budget = 5;
   PageMover mover(sys, mcfg);
   const auto ranking = rank_pages(sys, pid, {6, 7, 8, 9});
-  const MoveStats stats = mover.apply(ranking, 4);
+  const MoveStats stats = mover.apply(ranking, {4});
   EXPECT_EQ(stats.retried, 5U);  // budget exhausted mid-epoch
   EXPECT_GT(stats.aborted, 0U);
 }
@@ -225,7 +225,7 @@ TEST(FaultInjectionMover, NoMemFaultDefersPromotion) {
   mcfg.fault.restrict_to({util::FaultSite::MigrationNoMem});
   PageMover mover(sys, mcfg);
   const auto ranking = rank_pages(sys, pid, {8});
-  const MoveStats stats = mover.apply(ranking, 8);
+  const MoveStats stats = mover.apply(ranking, {8});
   EXPECT_EQ(stats.promoted, 0U);
   EXPECT_GE(stats.no_room, 1U);
   EXPECT_EQ(stats.deferred, 1U);

@@ -59,7 +59,7 @@ TEST(Mover, PromotesHotPagesIntoTier1) {
   PageMover mover(sys);
   // Declare pages 6..9 (currently in t2) the hottest.
   const auto ranking = rank_pages(sys, pid, {6, 7, 8, 9});
-  const MoveStats stats = mover.apply(ranking, 4);
+  const MoveStats stats = mover.apply(ranking, {4});
   EXPECT_EQ(stats.promoted, 4U);
   EXPECT_EQ(stats.demoted, 4U);  // the old residents made room
   sim::Process& proc = sys.process(pid);
@@ -77,24 +77,33 @@ TEST(Mover, AlreadyPlacedPagesNotMoved) {
   touch_pages(sys, pid, 4);  // all fit in t1
   PageMover mover(sys);
   const auto ranking = rank_pages(sys, pid, {0, 1, 2, 3});
-  const MoveStats stats = mover.apply(ranking, 4);
+  const MoveStats stats = mover.apply(ranking, {4});
   EXPECT_EQ(stats.promoted, 0U);
   EXPECT_EQ(stats.demoted, 0U);
   EXPECT_EQ(stats.cost_ns, 0U);
 }
 
 TEST(Mover, ChargesMigrationCostToClock) {
-  sim::System sys(small_config(2));
+  sim::SimConfig cfg = small_config(2);
+  cfg.tier2_frames = 8;  // slack below: exchanges need staging room
+  sim::System sys(cfg);
   const mem::Pid pid = sys.add_process(
       std::make_unique<workloads::UniformWorkload>(1 << 20, 0.0, 1));
   touch_pages(sys, pid, 6);
   const util::SimNs cost = 50 * util::kMicrosecond;
   PageMover mover(sys, MoverConfig{.per_page_cost_ns = cost});
   const util::SimNs before = sys.now();
-  const auto ranking = rank_pages(sys, pid, {4, 5});
-  const MoveStats stats = mover.apply(ranking, 2);
+  const auto ranking = rank_pages(sys, pid, {5, 4});
+  const MoveStats stats = mover.apply(ranking, {2});
+  EXPECT_EQ(stats.promoted, 2U);
   EXPECT_EQ(stats.promoted + stats.demoted,
             (sys.now() - before) / cost);
+  sim::Process& proc = sys.process(pid);
+  for (std::uint64_t idx : {5ULL, 4ULL}) {
+    const auto ref =
+        proc.page_table().resolve(proc.vaddr_of(idx * mem::kPageSize));
+    EXPECT_EQ(sys.phys().tier_of(ref.pte->pfn()), 0) << idx;
+  }
 }
 
 TEST(Mover, ResidentsEnumeration) {
@@ -113,7 +122,7 @@ TEST(Mover, EmptyRankingIsNoop) {
       std::make_unique<workloads::UniformWorkload>(1 << 20, 0.0, 1));
   touch_pages(sys, pid, 4);
   PageMover mover(sys);
-  const MoveStats stats = mover.apply({}, 2);
+  const MoveStats stats = mover.apply({}, {2});
   EXPECT_EQ(stats.promoted + stats.demoted + stats.failed(), 0U);
 }
 
@@ -127,7 +136,7 @@ TEST(Mover, CapacitySmallerThanTierRespected) {
   // other t1 residents only as needed — pages 6,7 are already resident, so
   // no demotions are required to satisfy the desired set.
   const auto ranking = rank_pages(sys, pid, {6, 7});
-  const MoveStats stats = mover.apply(ranking, 2);
+  const MoveStats stats = mover.apply(ranking, {2});
   EXPECT_EQ(stats.promoted, 0U);
   EXPECT_EQ(stats.demoted, 0U);
 }
@@ -141,7 +150,7 @@ TEST(Mover, FailsGracefullyWhenTier2Full) {
   touch_pages(sys, pid, 2 + 512);  // fills both tiers completely
   PageMover mover(sys);
   const auto ranking = rank_pages(sys, pid, {100, 101});
-  const MoveStats stats = mover.apply(ranking, 2);
+  const MoveStats stats = mover.apply(ranking, {2});
   // Demotions cannot find room (t2 full) -> promotions fail, no crash.
   EXPECT_GT(stats.failed(), 0U);
   EXPECT_GT(stats.no_room, 0U);
@@ -162,7 +171,7 @@ TEST(MoverTiers, FullLadderFailsGracefullyAndDefers) {
   PageMover mover(sys);
   // The hottest pages live at the bottom: promotion pressure everywhere.
   const auto ranking = rank_pages(sys, pid, {9, 8, 7, 6});
-  const MoveStats stats = mover.apply_tiers(ranking, {2, 4});
+  const MoveStats stats = mover.apply(ranking, {2, 4});
   EXPECT_EQ(stats.promoted, 0U);
   EXPECT_EQ(stats.demoted, 0U);
   EXPECT_GT(stats.no_room, 0U);
@@ -172,7 +181,7 @@ TEST(MoverTiers, FullLadderFailsGracefullyAndDefers) {
   sim::Process& proc = sys.process(pid);
   const mem::Pte freed = proc.page_table().unmap(proc.vaddr_of(0));
   sys.phys().free(freed.pfn());
-  const MoveStats again = mover.apply_tiers(ranking, {2, 4});
+  const MoveStats again = mover.apply(ranking, {2, 4});
   EXPECT_GT(again.promoted + again.demoted, 0U);
 }
 
@@ -190,7 +199,7 @@ TEST(MoverTiers, WaterfallPlacesByRankAcrossThreeTiers) {
   PageMover mover(sys);
   // Hottest: pages 9, 8 (currently t2); then 7, 6, 5, 4.
   const auto ranking = rank_pages(sys, pid, {9, 8, 7, 6, 5, 4});
-  const MoveStats stats = mover.apply_tiers(ranking, {2, 4});
+  const MoveStats stats = mover.apply(ranking, {2, 4});
   EXPECT_GT(stats.promoted, 0U);
   sim::Process& proc = sys.process(pid);
   auto tier_of_page = [&](std::uint64_t idx) {
@@ -208,23 +217,29 @@ TEST(MoverTiers, WaterfallPlacesByRankAcrossThreeTiers) {
   EXPECT_EQ(tier_of_page(0), 2);
 }
 
-TEST(MoverTiers, TwoTierWaterfallMatchesApply) {
-  sim::SimConfig cfg = small_config(2);
-  cfg.tier2_frames = 8;  // slack below: exchanges need staging room
-  sim::System sys(cfg);
+TEST(MoverTiers, MiddleTierDemotesColdestFirst) {
+  sim::System sys(three_tier_config(2, 4, 1 << 14));
   const mem::Pid pid = sys.add_process(
       std::make_unique<workloads::UniformWorkload>(1 << 20, 0.0, 1));
-  touch_pages(sys, pid, 6);
+  touch_pages(sys, pid, 10);  // 0..1 in t0, 2..5 in t1, 6..9 in t2
   PageMover mover(sys);
-  const auto ranking = rank_pages(sys, pid, {5, 4});
-  const MoveStats stats = mover.apply_tiers(ranking, {2});
-  EXPECT_EQ(stats.promoted, 2U);
+  // Targets with capacities {2, 3}: t0 = {0, 1}, t1 = {9, 4, 5}. Page 2
+  // is ranked but beyond every capacity; page 3 is unranked (colder).
+  // Page 9 needs one t1 frame: the coldest untargeted resident, page 3,
+  // must make room — not page 2, which comes first in page-table order.
+  const auto ranking = rank_pages(sys, pid, {0, 1, 9, 4, 5, 2});
+  const MoveStats stats = mover.apply(ranking, {2, 3});
+  EXPECT_EQ(stats.promoted, 1U);
+  EXPECT_EQ(stats.demoted, 1U);
   sim::Process& proc = sys.process(pid);
-  for (std::uint64_t idx : {5ULL, 4ULL}) {
+  auto tier_of_page = [&](std::uint64_t idx) {
     const auto ref =
         proc.page_table().resolve(proc.vaddr_of(idx * mem::kPageSize));
-    EXPECT_EQ(sys.phys().tier_of(ref.pte->pfn()), 0) << idx;
-  }
+    return sys.phys().tier_of(ref.pte->pfn());
+  };
+  EXPECT_EQ(tier_of_page(9), 1);
+  EXPECT_EQ(tier_of_page(2), 1);
+  EXPECT_EQ(tier_of_page(3), 2);
 }
 
 TEST(MoverTiers, RequiresEnoughTiers) {
@@ -236,8 +251,8 @@ TEST(MoverTiers, RequiresEnoughTiers) {
   touch_pages(sys, pid, 2);
   PageMover mover(sys);
   const auto ranking = rank_pages(sys, pid, {0});
-  EXPECT_THROW(mover.apply_tiers(ranking, {1, 1}), util::AssertionError);
-  EXPECT_THROW(mover.apply_tiers(ranking, {}), util::AssertionError);
+  EXPECT_THROW(mover.apply(ranking, {1, 1}), util::AssertionError);
+  EXPECT_THROW(mover.apply(ranking, {}), util::AssertionError);
 }
 
 }  // namespace

@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
-
-#include "util/rng.hpp"
 
 namespace tmprof::core {
 namespace {
@@ -83,83 +80,11 @@ TEST(Ranking, FusionNames) {
   EXPECT_EQ(to_string(FusionMode::TraceOnly), "trace-only");
 }
 
-// ---------------------------------------------------------------------------
-// Top-K selection: the k-prefix must be bitwise identical to the full sort.
-
 /// Every field must match, not just the (rank, key) sort keys. Field-wise
 /// rather than memcmp so struct padding bytes cannot fake a mismatch.
 bool bitwise_equal(const PageRank& a, const PageRank& b) {
   return a.key == b.key && a.rank == b.rank && a.abit == b.abit &&
          a.trace == b.trace && a.writes == b.writes;
-}
-
-void expect_topk_matches_full_prefix(const EpochObservation& obs,
-                                     FusionMode mode, double weight) {
-  const std::vector<PageRank> full = build_ranking(obs, mode, weight);
-  // k sweep: empty, single, mid, exact size, and past-the-end.
-  const std::size_t ks[] = {0, 1, full.size() / 2, full.size(),
-                            full.size() + 5};
-  for (const std::size_t k : ks) {
-    const std::vector<PageRank> topk = build_ranking_topk(obs, mode, weight, k);
-    const std::size_t expect_n = std::min(k, full.size());
-    ASSERT_EQ(topk.size(), expect_n)
-        << "mode=" << to_string(mode) << " k=" << k;
-    for (std::size_t i = 0; i < expect_n; ++i) {
-      EXPECT_TRUE(bitwise_equal(topk[i], full[i]))
-          << "mode=" << to_string(mode) << " k=" << k << " i=" << i;
-    }
-  }
-}
-
-TEST(Ranking, TopKPrefixMatchesFullSortAllModes) {
-  const EpochObservation obs = make_obs();
-  for (const FusionMode mode :
-       {FusionMode::Sum, FusionMode::Max, FusionMode::AbitOnly,
-        FusionMode::TraceOnly, FusionMode::Weighted}) {
-    expect_topk_matches_full_prefix(obs, mode, 0.5);
-  }
-}
-
-TEST(Ranking, TopKPrefixWithRankTies) {
-  // Many pages sharing the same rank: nth_element's pivot lands inside a tie
-  // group, so only the key tie-break keeps the prefix deterministic.
-  EpochObservation obs;
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    obs.abit[PageKey{1 + (i % 3), (64 - i) * 0x1000}] =
-        static_cast<std::uint32_t>(i % 4);  // only 4 distinct ranks
-  }
-  for (const FusionMode mode : {FusionMode::Sum, FusionMode::AbitOnly}) {
-    expect_topk_matches_full_prefix(obs, mode, 1.0);
-  }
-}
-
-TEST(Ranking, TopKPrefixRandomized) {
-  util::Rng rng(1234);
-  for (int round = 0; round < 10; ++round) {
-    EpochObservation obs;
-    const std::size_t n = 20 + rng.below(200);
-    for (std::size_t i = 0; i < n; ++i) {
-      const PageKey k{1 + rng.below(4), rng.below(512) * 0x1000};
-      if (rng.below(2) != 0U) {
-        obs.abit[k] = static_cast<std::uint32_t>(rng.below(8));
-      }
-      if (rng.below(2) != 0U) {
-        obs.trace[k] = static_cast<std::uint32_t>(rng.below(8));
-      }
-      if (rng.below(4) == 0U) {
-        obs.writes[k] = static_cast<std::uint32_t>(rng.below(8));
-      }
-    }
-    for (const FusionMode mode :
-         {FusionMode::Sum, FusionMode::Max, FusionMode::AbitOnly,
-          FusionMode::TraceOnly, FusionMode::Weighted}) {
-      expect_topk_matches_full_prefix(obs, mode, 0.25);
-    }
-  }
-}
-
-TEST(Ranking, TopKZeroReturnsEmpty) {
-  EXPECT_TRUE(build_ranking_topk(make_obs(), FusionMode::Sum, 1.0, 0).empty());
 }
 
 TEST(Ranking, BuildIntoReusesBuffers) {

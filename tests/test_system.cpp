@@ -130,6 +130,43 @@ TEST(System, MigrationMovesFrameAndPreservesData) {
   EXPECT_FALSE(r.page_fault);
 }
 
+TEST(System, ShardedMigrationFallsBackToOtherArenas) {
+  // Per-core arenas keep first-touch faults core-local, but migrations run
+  // at the epoch barrier: a promotion must find room in any arena of the
+  // destination tier, not only in the owner's.
+  SimConfig cfg = small_config();
+  cfg.sharded_engine = true;  // one arena per core
+  cfg.tier1_frames = 8;       // 4 tier-0 frames per core's arena
+  System sys(cfg);
+  const mem::Pid a = sys.add_process(
+      std::make_unique<workloads::UniformWorkload>(1 << 16, 0.0, 1));
+  const mem::Pid b = sys.add_process(
+      std::make_unique<workloads::UniformWorkload>(1 << 16, 0.0, 1));
+  ASSERT_EQ(a % cfg.cores, 0U);  // a faults into core 0's arena
+  ASSERT_EQ(b % cfg.cores, 1U);  // b faults into core 1's arena
+  Process& pa = sys.process(a);
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    sys.access(pa, pa.vaddr_of(i * mem::kPageSize), false, 1);
+  }
+  ASSERT_EQ(sys.phys().used_frames(0), 4U);  // core 0's arena is full
+  const mem::VirtAddr page = pa.vaddr_of(4 * mem::kPageSize) &
+                             ~(mem::kPageSize - 1);
+  ASSERT_EQ(sys.phys().tier_of(pa.page_table().resolve(page).pte->pfn()), 1);
+
+  ASSERT_TRUE(sys.migrate_page(a, page, 0));
+  const mem::Pfn moved = pa.page_table().resolve(page).pte->pfn();
+  EXPECT_EQ(sys.phys().tier_of(moved), 0);
+  EXPECT_EQ(sys.phys().used_frames(0), 5U);
+
+  // Freed, the frame goes back to core 1's arena: b's next first touch
+  // reuses it.
+  sys.phys().free(pa.page_table().unmap(page).pfn());
+  Process& pb = sys.process(b);
+  sys.access(pb, pb.vaddr_of(0), false, 1);
+  const mem::VirtAddr b_page = pb.vaddr_of(0) & ~(mem::kPageSize - 1);
+  EXPECT_EQ(pb.page_table().resolve(b_page).pte->pfn(), moved);
+}
+
 TEST(System, MigrateToSameTierIsNoop) {
   System sys(small_config());
   const mem::Pid pid = sys.add_process(

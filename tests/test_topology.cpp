@@ -188,7 +188,7 @@ TEST(Topology, ApplyTiersChargesPerHopMigrationCost) {
     ranking.push_back(pr);
   }
   const util::SimNs before = sys.now();
-  const MoveStats stats = mover.apply_tiers(ranking, {8, 2});
+  const MoveStats stats = mover.apply(ranking, {8, 2});
   EXPECT_EQ(stats.promoted, 1U);
   EXPECT_EQ(stats.demoted, 2U);
   // 1 + 1 + 2 hops: a flat per-move charge would only account 3 moves.
