@@ -22,6 +22,9 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(args.get_u64("epochs", 8));
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 600'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
+  const std::uint32_t threads = bench::selected_threads(args);
+  const std::vector<workloads::WorkloadSpec> specs = bench::selected_specs(args);
+  args.reject_unread();
 
   std::cout << "Ablation: rank-fusion mode vs History hitrate\n\n";
 
@@ -39,13 +42,13 @@ int main(int argc, char** argv) {
       {"trace-only", core::FusionMode::TraceOnly, 1.0},
   };
 
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     tiering::CollectOptions collect;
     collect.n_epochs = epochs;
     collect.ops_per_epoch = ops_per_epoch;
     collect.seed = seed;
     collect.daemon.driver.ibs = bench::scaled_ibs(4);
-    collect.n_threads = bench::selected_threads(args);
+    collect.n_threads = threads;
     const tiering::EpochSeries series = tiering::collect_series(
         spec, bench::testbed_config(spec.total_bytes), collect);
 

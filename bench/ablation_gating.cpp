@@ -66,6 +66,7 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(args.get_u64("bursts", 5));
   const std::uint64_t ops_per_phase = args.get_u64("ops-per-phase", 400'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
+  args.reject_unread();
 
   std::cout << "Ablation: activity-gate threshold on a bursty service\n"
             << "(data_caching; each burst = 1 busy tick + 3 idle ticks)\n\n";

@@ -58,13 +58,15 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(args.get_u64("epochs", 6));
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 500'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
+  const std::vector<workloads::WorkloadSpec> specs = bench::selected_specs(args);
+  args.reject_unread();
 
   std::cout << "Ablation: A-bit clearing with vs without TLB shootdowns\n\n";
   util::TextTable table({"workload", "pages/scan", "pages/scan(+sd)",
                          "visibility", "cost_us", "cost_us(+sd)",
                          "cost_factor"});
 
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     const ScanOutcome lazy = run(spec, false, epochs, ops_per_epoch, seed);
     const ScanOutcome precise = run(spec, true, epochs, ops_per_epoch, seed);
     const double visibility =

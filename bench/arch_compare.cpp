@@ -87,13 +87,15 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(args.get_u64("epochs", 8));
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 400'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
+  const std::vector<workloads::WorkloadSpec> specs = bench::selected_specs(args);
+  args.reject_unread();
 
   std::cout << "Architecture comparison: in-place tiering vs swap-style "
                "far memory (64 MiB fast tier)\n\n";
   util::TextTable table({"workload", "static_ms", "tmp_ms", "swap_ms",
                          "swap vs tmp", "swap faults", "t1 hit (tmp)",
                          "t1 hit (swap)"});
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     const ArchResult stat =
         run(Arch::StaticTiered, spec, epochs, ops_per_epoch, seed);
     const ArchResult tmp =

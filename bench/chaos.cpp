@@ -116,6 +116,8 @@ int main(int argc, char** argv) {
   // telemetry section) and the resumed run, each on its own trace track.
   const std::unique_ptr<telemetry::Telemetry> telemetry =
       bench::telemetry_from_args(args);
+  const tiering::AdmissionConfig admission = bench::admission_from_args(args);
+  args.reject_unread();
 
   const workloads::WorkloadSpec spec = workloads::find_spec(workload, scale);
   sim::SimConfig cfg = bench::testbed_config(spec.total_bytes);
@@ -154,7 +156,7 @@ int main(int argc, char** argv) {
                              : tiering::SlowMemoryModel::Native;
         opt.daemon.driver.ibs = bench::scaled_ibs(4);
         opt.n_threads = n_threads;
-        opt.mover.admission = bench::admission_from_args(args);
+        opt.mover.admission = admission;
         opt.fault.rate = rate;
         opt.telemetry = telemetry.get();
 

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "core/hotness.hpp"
 #include "monitors/devmon.hpp"
 #include "monitors/ibs.hpp"
 #include "sim/config.hpp"
@@ -73,29 +72,6 @@ inline std::vector<workloads::WorkloadSpec> selected_specs(
 /// sharded engine with N workers (results are identical for every N >= 1).
 inline std::uint32_t selected_threads(const util::ArgParser& args) {
   return static_cast<std::uint32_t>(args.get_u64("threads", 0));
-}
-
-/// Hotness front-end selection shared by the benches (docs/SKETCH.md):
-///   --hotness=exact|sketch  counting front-end (default exact)
-///   --sketch-width=N        count-min cells per row (rounded to pow2)
-///   --sketch-depth=N        count-min rows
-///   --sketch-seed=N         hash-family seed
-///   --sketch-candidates=N   cap on exactly-tracked candidate keys
-///   --bloom-bits=N          Bloom filter size for new-page detection
-/// Rejects unknown mode names (core::parse_hotness_mode throws).
-inline core::HotnessConfig hotness_from_args(const util::ArgParser& args) {
-  core::HotnessConfig hotness;
-  hotness.mode = core::parse_hotness_mode(args.get("hotness", "exact"));
-  hotness.sketch.width = static_cast<std::uint32_t>(
-      args.get_u64("sketch-width", hotness.sketch.width));
-  hotness.sketch.depth = static_cast<std::uint32_t>(
-      args.get_u64("sketch-depth", hotness.sketch.depth));
-  hotness.sketch.seed = args.get_u64("sketch-seed", hotness.sketch.seed);
-  hotness.sketch.bloom_bits =
-      args.get_u64("bloom-bits", hotness.sketch.bloom_bits);
-  hotness.candidates = static_cast<std::uint32_t>(
-      args.get_u64("sketch-candidates", hotness.candidates));
-  return hotness;
 }
 
 /// Fault-injection selection shared by the benches (docs/ROBUSTNESS.md):

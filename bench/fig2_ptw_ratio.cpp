@@ -32,6 +32,8 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(args.get_u64("epochs", 6));
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 500'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
+  const std::vector<workloads::WorkloadSpec> specs = bench::selected_specs(args);
+  args.reject_unread();
 
   std::cout << "Fig. 2: PTW A-bit-set events vs data-cache-miss events\n"
             << "(" << epochs << " epochs x " << ops_per_epoch
@@ -40,7 +42,7 @@ int main(int argc, char** argv) {
                          "itlb_walk", "abit_samples", "trace_samples", "weighted_abit",
                          "ratio(w)", "comparable"});
 
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     sim::System system(bench::testbed_config(spec.total_bytes));
     tiering::add_spec_processes(system, spec, seed);
     core::DaemonConfig cfg;

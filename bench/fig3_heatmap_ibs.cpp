@@ -28,9 +28,11 @@ int main(int argc, char** argv) {
   const bool write_csv = args.get_bool("csv", true);
   const std::size_t time_bins = args.get_u64("time-bins", 64);
   const std::size_t addr_bins = args.get_u64("addr-bins", 24);
+  const std::vector<workloads::WorkloadSpec> specs = bench::selected_specs(args);
+  args.reject_unread();
 
   std::cout << "Fig. 3: access heatmaps from IBS samples (4x rate)\n\n";
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     sim::System system(bench::testbed_config(spec.total_bytes));
     tiering::add_spec_processes(system, spec, seed);
 

@@ -28,10 +28,12 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = args.get_u64("seed", 42);
   const bool write_csv = args.get_bool("csv", true);
   const std::size_t addr_bins = args.get_u64("addr-bins", 24);
+  const std::vector<workloads::WorkloadSpec> specs = bench::selected_specs(args);
+  args.reject_unread();
 
   std::cout << "Fig. 4: access heatmaps from A-bit scans (one scan per "
             << ops_per_epoch << "-op interval)\n\n";
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     sim::System system(bench::testbed_config(spec.total_bytes));
     tiering::add_spec_processes(system, spec, seed);
     monitors::AbitScanner scanner{monitors::AbitConfig{}};

@@ -60,12 +60,14 @@ int main(int argc, char** argv) {
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 1'000'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
   const bool write_csv = args.get_bool("csv", true);
+  const std::vector<workloads::WorkloadSpec> specs = bench::selected_specs(args);
+  args.reject_unread();
 
   std::cout << "Fig. 5: CDFs of per-page observation counts\n"
             << "(columns: detected pages, then counts at p25/p50/p90/p99/"
                "max)\n\n";
 
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     sim::System system(bench::testbed_config(spec.total_bytes));
     tiering::add_spec_processes(system, spec, seed);
 

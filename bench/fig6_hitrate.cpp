@@ -16,8 +16,7 @@
 ///        [--fault-sites=a,b] [--checkpoint-every=N] [--checkpoint-dir=D]
 ///        [--resume-from=F] [--resume-latest=0|1] [--keep-last=K]
 ///        [--metrics-out=F] [--trace-out=F] [--telemetry-every=N]
-///        [--hotness=exact|sketch] [--sketch-width=N] [--sketch-depth=N]
-///        [--sketch-seed=N] [--sketch-candidates=N] [--bloom-bits=N]
+///        [--backend=ibs|pebs] [--threads=N] [--seed=N]
 
 #include <array>
 #include <fstream>
@@ -66,10 +65,12 @@ int main(int argc, char** argv) {
   const bool write_csv = args.get_bool("csv", true);
   const std::uint32_t threads = bench::selected_threads(args);
   const util::FaultConfig fault = bench::fault_from_args(args);
-  const core::HotnessConfig hotness = bench::hotness_from_args(args);
+  const bool pebs = args.get("backend", "ibs") == "pebs";
   const util::ckpt::Options checkpoint = bench::checkpoint_from_args(args);
   const std::unique_ptr<telemetry::Telemetry> telemetry =
       bench::telemetry_from_args(args);
+  const std::vector<workloads::WorkloadSpec> specs = bench::selected_specs(args);
+  args.reject_unread();
 
   std::cout << "Fig. 6: tier-1 hitrate, Oracle & History x profiling source\n"
             << "(epoch = " << ops_per_epoch << " ops, " << epochs
@@ -89,7 +90,6 @@ int main(int argc, char** argv) {
   // each on the sharded engine; a single selected workload instead shards
   // its own cores across the pool. Either way the series are identical to
   // a --threads=1 run — output order is fixed by the spec list.
-  const std::vector<workloads::WorkloadSpec> specs = bench::selected_specs(args);
   std::vector<tiering::EpochSeries> collected(specs.size());
   // One telemetry sink cannot be shared by concurrently-collecting
   // Systems, so telemetry forces the (deterministically identical)
@@ -102,8 +102,7 @@ int main(int argc, char** argv) {
     collect.ops_per_epoch = ops_per_epoch;
     collect.seed = seed;
     collect.daemon.driver.ibs = bench::scaled_ibs(4);
-    collect.daemon.driver.hotness = hotness;
-    if (args.get("backend", "ibs") == "pebs") {
+    if (pebs) {
       // Intel testbeds use PEBS armed on LLC misses instead of IBS; the
       // driver is backend-agnostic, so Fig. 6 can be regenerated per
       // vendor (sample_after tuned to a comparable sample rate).

@@ -14,37 +14,24 @@
 /// path uses. Results go to stdout (human table) and BENCH_hotpath.json
 /// ({section, pages, ops, seconds, ops_per_sec} rows).
 ///
-/// A fourth section sweeps the sketch-mode hotness store (docs/SKETCH.md)
-/// over a memory-vs-accuracy grid: width/depth x footprint on a Zipf
-/// stream, reporting top-64 overlap against the exact store, Spearman rank
-/// correlation over the exact top-256, and bytes per tracked page. Rows go
-/// into the JSON as a separate `sketch_accuracy` array; the headline
-/// acceptance point is >= 95% top-64 overlap at <= 1/8 of the exact
-/// store's bytes.
-///
-/// Usage: micro_hotpath [--epochs=N] [--touches-per-page=N] [--step-ops=N] [--sketch-sweep=0|1]
+/// Usage: micro_hotpath [--epochs=N] [--touches-per-page=N] [--step-ops=N]
 ///        [--out=BENCH_hotpath.json]
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <numeric>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common.hpp"
-#include "core/hotness.hpp"
 #include "core/ranking.hpp"
 #include "sim/system.hpp"
 #include "tiering/epoch.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
-#include "util/zipf.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace {
@@ -179,157 +166,8 @@ Row run_step_parallel(std::uint64_t footprint_pages, std::uint64_t step_ops) {
 }
 
 // ---------------------------------------------------------------------------
-// Section 4: sketch-mode memory-vs-accuracy sweep.
 
-struct AccuracyRow {
-  std::uint64_t pages = 0;
-  std::uint32_t width = 0;
-  std::uint32_t depth = 0;
-  std::uint32_t candidates = 0;
-  std::uint64_t ops = 0;
-  double top64_overlap = 0.0;
-  double rank_corr_top256 = 0.0;
-  std::uint64_t exact_bytes = 0;
-  std::uint64_t sketch_bytes = 0;
-  double bytes_ratio = 0.0;      ///< sketch / exact
-  double bytes_per_page = 0.0;   ///< sketch bytes / distinct pages tracked
-};
-
-/// Average ranks (ties share their mean rank) — the Spearman prerequisite.
-std::vector<double> average_ranks(const std::vector<double>& values) {
-  const std::size_t n = values.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return values[a] < values[b];
-  });
-  std::vector<double> ranks(n, 0.0);
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i;
-    while (j + 1 < n && values[order[j + 1]] == values[order[i]]) ++j;
-    const double mean_rank = (static_cast<double>(i + j) / 2.0) + 1.0;
-    for (std::size_t k = i; k <= j; ++k) ranks[order[k]] = mean_rank;
-    i = j + 1;
-  }
-  return ranks;
-}
-
-double spearman(const std::vector<double>& a, const std::vector<double>& b) {
-  const std::vector<double> ra = average_ranks(a);
-  const std::vector<double> rb = average_ranks(b);
-  const double n = static_cast<double>(ra.size());
-  double sa = 0, sb = 0;
-  for (std::size_t i = 0; i < ra.size(); ++i) {
-    sa += ra[i];
-    sb += rb[i];
-  }
-  const double ma = sa / n, mb = sb / n;
-  double cov = 0, va = 0, vb = 0;
-  for (std::size_t i = 0; i < ra.size(); ++i) {
-    cov += (ra[i] - ma) * (rb[i] - mb);
-    va += (ra[i] - ma) * (ra[i] - ma);
-    vb += (rb[i] - mb) * (rb[i] - mb);
-  }
-  if (va == 0.0 || vb == 0.0) return 0.0;
-  return cov / std::sqrt(va * vb);
-}
-
-AccuracyRow run_sketch_accuracy(std::uint64_t pages, std::uint32_t width,
-                                std::uint32_t depth,
-                                std::uint32_t candidates) {
-  core::HotnessConfig config;
-  config.mode = core::HotnessMode::Sketch;
-  config.sketch.width = width;
-  config.sketch.depth = depth;
-  config.candidates = candidates;
-
-  core::HotnessCounts exact_store;
-  core::HotnessCounts sketch_store(config);
-  util::Rng rng(pages * 0x9e3779b9ULL + width + depth);
-  util::ZipfDistribution zipf(pages, 0.99);
-  const std::uint64_t ops = pages * 4;
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    const std::uint64_t page = zipf(rng);
-    const core::PageKey key{1 + static_cast<mem::Pid>(page % 4),
-                            page * mem::kPageSize};
-    exact_store.add(key);
-    sketch_store.add(key);
-  }
-
-  AccuracyRow row;
-  row.pages = pages;
-  row.width = width;
-  row.depth = depth;
-  row.candidates = candidates;
-  row.ops = ops;
-  row.exact_bytes = exact_store.memory_bytes();
-  row.sketch_bytes = sketch_store.memory_bytes();
-  row.bytes_ratio = static_cast<double>(row.sketch_bytes) /
-                    static_cast<double>(row.exact_bytes);
-
-  core::PageCountMap exact_counts;
-  core::PageCountMap sketch_counts;
-  (void)exact_store.end_epoch_into(exact_counts);
-  (void)sketch_store.end_epoch_into(sketch_counts);
-  row.bytes_per_page = static_cast<double>(row.sketch_bytes) /
-                       static_cast<double>(exact_counts.size());
-
-  // Exact ranking, (count desc, key asc) — the profiler's total order.
-  std::vector<std::pair<std::uint32_t, core::PageKey>> exact_order;
-  exact_order.reserve(exact_counts.size());
-  for (const auto& [key, count] : exact_counts) {
-    exact_order.emplace_back(count, key);
-  }
-  std::sort(exact_order.begin(), exact_order.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return b.second < a.second;
-            });
-  std::vector<std::pair<std::uint32_t, core::PageKey>> sketch_order;
-  sketch_order.reserve(sketch_counts.size());
-  for (const auto& [key, count] : sketch_counts) {
-    sketch_order.emplace_back(count, key);
-  }
-  std::sort(sketch_order.begin(), sketch_order.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return b.second < a.second;
-            });
-
-  const std::size_t k = std::min<std::size_t>(64, exact_order.size());
-  std::unordered_set<std::uint64_t> sketch_top;
-  for (std::size_t i = 0; i < k && i < sketch_order.size(); ++i) {
-    sketch_top.insert(sketch_order[i].second.page_va);
-  }
-  std::size_t overlap = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    overlap += sketch_top.count(exact_order[i].second.page_va);
-  }
-  row.top64_overlap =
-      k == 0 ? 0.0 : static_cast<double>(overlap) / static_cast<double>(k);
-
-  // Spearman over the exact top-256: exact count vs sketch estimate
-  // (absent candidates score 0, punishing dropped hot pages).
-  const std::size_t top = std::min<std::size_t>(256, exact_order.size());
-  std::vector<double> exact_vals;
-  std::vector<double> sketch_vals;
-  exact_vals.reserve(top);
-  sketch_vals.reserve(top);
-  for (std::size_t i = 0; i < top; ++i) {
-    exact_vals.push_back(static_cast<double>(exact_order[i].first));
-    const auto it = sketch_counts.find(exact_order[i].second);
-    sketch_vals.push_back(
-        it == sketch_counts.end() ? 0.0 : static_cast<double>(it->second));
-  }
-  row.rank_corr_top256 = spearman(exact_vals, sketch_vals);
-  return row;
-}
-
-// ---------------------------------------------------------------------------
-
-void write_json(const std::string& path, const std::vector<Row>& rows,
-                const std::vector<AccuracyRow>& accuracy) {
+void write_json(const std::string& path, const std::vector<Row>& rows) {
   std::ofstream os(path);
   if (!os) {
     std::cerr << "micro_hotpath: cannot open " << path << "\n";
@@ -344,19 +182,6 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
        << ", \"ops_per_sec\": " << r.ops_per_sec << "}"
        << (i + 1 < rows.size() ? "," : "") << "\n";
   }
-  os << "  ],\n  \"sketch_accuracy\": [\n";
-  for (std::size_t i = 0; i < accuracy.size(); ++i) {
-    const AccuracyRow& a = accuracy[i];
-    os << "    {\"pages\": " << a.pages << ", \"width\": " << a.width
-       << ", \"depth\": " << a.depth << ", \"candidates\": " << a.candidates
-       << ", \"ops\": " << a.ops << ", \"top64_overlap\": " << a.top64_overlap
-       << ", \"rank_corr_top256\": " << a.rank_corr_top256
-       << ", \"exact_bytes\": " << a.exact_bytes
-       << ", \"sketch_bytes\": " << a.sketch_bytes
-       << ", \"bytes_ratio\": " << a.bytes_ratio
-       << ", \"bytes_per_page\": " << a.bytes_per_page << "}"
-       << (i + 1 < accuracy.size() ? "," : "") << "\n";
-  }
   os << "  ]\n}\n";
 }
 
@@ -367,8 +192,8 @@ int main(int argc, char** argv) {
   const std::uint64_t epochs = args.get_u64("epochs", 8);
   const std::uint64_t touches = args.get_u64("touches-per-page", 4);
   const std::uint64_t step_ops = args.get_u64("step-ops", 2'000'000);
-  const bool sketch_sweep = args.get_bool("sketch-sweep", true);
   const std::string out_path = args.get("out", "BENCH_hotpath.json");
+  args.reject_unread();
 
   const std::uint64_t footprints[] = {4096, 16384, 65536};
   std::vector<Row> rows;
@@ -391,39 +216,7 @@ int main(int argc, char** argv) {
   }
   std::cout << table.to_string() << "\n";
 
-  std::vector<AccuracyRow> accuracy;
-  if (sketch_sweep) {
-    // Width/depth x footprint grid; candidate cap fixed at the driver's
-    // default. The last row is the headline acceptance point: >= 0.95
-    // top-64 overlap at <= 1/8 of the exact store's bytes.
-    const std::pair<std::uint32_t, std::uint32_t> grid[] = {
-        {1u << 12, 2}, {1u << 12, 4}, {1u << 14, 4}};
-    for (const std::uint64_t pages : {65536ULL, 262144ULL}) {
-      for (const auto& [width, depth] : grid) {
-        accuracy.push_back(
-            run_sketch_accuracy(pages, width, depth, 1u << 13));
-      }
-    }
-    util::TextTable acc_table({"pages", "width", "depth", "top64_overlap",
-                               "rank_corr", "bytes_ratio", "B/page"});
-    for (const AccuracyRow& a : accuracy) {
-      acc_table.add_row({std::to_string(a.pages), std::to_string(a.width),
-                         std::to_string(a.depth),
-                         std::to_string(a.top64_overlap),
-                         std::to_string(a.rank_corr_top256),
-                         std::to_string(a.bytes_ratio),
-                         std::to_string(a.bytes_per_page)});
-    }
-    std::cout << "sketch accuracy sweep (zipf 0.99, candidates="
-              << (1u << 13) << "):\n"
-              << acc_table.to_string() << "\n";
-    const AccuracyRow& headline = accuracy.back();
-    std::cout << "headline: top-64 overlap " << headline.top64_overlap
-              << " at " << headline.bytes_ratio
-              << "x exact bytes (accept: >= 0.95 at <= 0.125)\n";
-  }
-
-  write_json(out_path, rows, accuracy);
+  write_json(out_path, rows);
   std::cout << "\nwrote " << out_path << "\n";
   return 0;
 }

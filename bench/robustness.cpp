@@ -117,6 +117,10 @@ int storm_main(const tmprof::util::ArgParser& args) {
   if (adm.mode == tiering::AdmissionMode::Off) {
     adm.mode = tiering::AdmissionMode::Static;
   }
+  const std::string policy = args.get("policy", "history");
+  const std::uint64_t min_rank = args.get_u64("min-rank", 3);
+  const std::uint32_t threads = bench::selected_threads(args);
+  args.reject_unread();
 
   std::cout << "Migration storms: admission off vs "
             << to_string(adm.mode) << " (" << epochs << " epochs x "
@@ -141,12 +145,12 @@ int storm_main(const tmprof::util::ArgParser& args) {
     opt.n_epochs = epochs;
     opt.ops_per_epoch = ops_per_epoch;
     opt.seed = seed;
-    opt.policy = args.get("policy", "history");
+    opt.policy = policy;
     opt.daemon.driver.ibs = bench::scaled_ibs(4);
     opt.mover.per_page_cost_ns =
         static_cast<util::SimNs>(50.0 * 1000.0 / time_scale);
-    opt.mover.min_rank = args.get_u64("min-rank", 3);
-    opt.n_threads = bench::selected_threads(args);
+    opt.mover.min_rank = min_rank;
+    opt.n_threads = threads;
     opt.telemetry = telemetry.get();
 
     opt.telemetry_label = scenario.name + "/off";
@@ -225,6 +229,12 @@ int main(int argc, char** argv) {
       parse_rates(args.get("rates", "0,0.05,0.1,0.2,0.4"));
   const std::unique_ptr<telemetry::Telemetry> telemetry =
       bench::telemetry_from_args(args);
+  const std::uint64_t min_rank = args.get_u64("min-rank", 3);
+  const std::uint32_t threads = bench::selected_threads(args);
+  const tiering::AdmissionConfig admission = bench::admission_from_args(args);
+  const util::FaultConfig fault = bench::fault_from_args(args);
+  const std::vector<workloads::WorkloadSpec> specs = bench::selected_specs(args);
+  args.reject_unread();
   auto scaled_ns = [time_scale](double paper_us) {
     return static_cast<util::SimNs>(paper_us * 1000.0 / time_scale);
   };
@@ -245,7 +255,7 @@ int main(int argc, char** argv) {
   }
 
   bool graceful = true;
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     sim::SimConfig cfg = bench::testbed_config(spec.total_bytes);
     // Fast tier sized to a quarter of the footprint so placement matters at
     // any --scale (the degradation study needs migration pressure, not the
@@ -263,10 +273,10 @@ int main(int argc, char** argv) {
       opt.seed = seed;
       opt.daemon.driver.ibs = bench::scaled_ibs(4);
       opt.mover.per_page_cost_ns = scaled_ns(50.0);
-      opt.mover.min_rank = args.get_u64("min-rank", 3);
-      opt.n_threads = bench::selected_threads(args);
-      opt.mover.admission = bench::admission_from_args(args);
-      opt.fault = bench::fault_from_args(args);
+      opt.mover.min_rank = min_rank;
+      opt.n_threads = threads;
+      opt.mover.admission = admission;
+      opt.fault = fault;
       opt.fault.rate = rate;
       opt.telemetry = telemetry.get();
 

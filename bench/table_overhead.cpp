@@ -111,6 +111,12 @@ int main(int argc, char** argv) {
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 800'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
   const double time_scale = args.get_double("time-scale", 20.0);
+  const std::uint32_t self_reps =
+      static_cast<std::uint32_t>(args.get_u64("self-reps", 3));
+  std::unique_ptr<telemetry::Telemetry> exported =
+      bench::telemetry_from_args(args);
+  const std::vector<workloads::WorkloadSpec> specs = bench::selected_specs(args);
+  args.reject_unread();
 
   std::cout << "Sections VI-A/B: profiling overhead (% of application "
                "time)\n"
@@ -118,7 +124,7 @@ int main(int argc, char** argv) {
   util::TextTable table({"workload", "abit", "abit+shootdown", "ibs-default",
                          "ibs-4x", "ibs-8x", "abit(no-gating)"});
 
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     const OverheadCase abit =
         run_case(spec, epochs, ops_per_epoch, seed, false, 1, false, true, time_scale);
     const OverheadCase abit_sd =
@@ -147,10 +153,6 @@ int main(int argc, char** argv) {
   // Best-of-N wall-clock timings smooth scheduler noise; with --metrics-out
   // or --trace-out the instrumented runs also feed the exported files,
   // otherwise a file-less sink isolates pure collection cost.
-  const std::uint32_t self_reps =
-      static_cast<std::uint32_t>(args.get_u64("self-reps", 3));
-  std::unique_ptr<telemetry::Telemetry> exported =
-      bench::telemetry_from_args(args);
   telemetry::Telemetry local{telemetry::TelemetryConfig{}};
   telemetry::Telemetry* const sink = exported ? exported.get() : &local;
 
@@ -158,7 +160,7 @@ int main(int argc, char** argv) {
             << " reps; budget < 5%)\n";
   util::TextTable self_table({"workload", "off_ms", "on_ms", "overhead"});
   bool within_budget = true;
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     double off_s = 1e300;
     double on_s = 1e300;
     for (std::uint32_t r = 0; r < self_reps; ++r) {

@@ -51,6 +51,11 @@ int main(int argc, char** argv) {
   const bool write_csv = args.get_bool("csv", true);
   const std::unique_ptr<telemetry::Telemetry> telemetry =
       bench::telemetry_from_args(args);
+  const std::uint64_t min_rank = args.get_u64("min-rank", 3);
+  const tiering::AdmissionConfig admission = bench::admission_from_args(args);
+  const std::uint32_t threads = bench::selected_threads(args);
+  const std::vector<workloads::WorkloadSpec> specs = bench::selected_specs(args);
+  args.reject_unread();
 
   const tiering::SlowMemoryModel slow_model =
       model == "badgertrap" ? tiering::SlowMemoryModel::BadgerTrapEmulation
@@ -76,7 +81,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<double> speedups;
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     sim::SimConfig cfg = bench::testbed_config(spec.total_bytes);
     // The paper's emulation testbed: 4 GiB fast + 60 GiB slow, /64 scale.
     cfg.tier1_frames = (64ULL << 20) >> mem::kPageShift;
@@ -90,12 +95,12 @@ int main(int argc, char** argv) {
     opt.slow_model = slow_model;
     opt.daemon.driver.ibs = bench::scaled_ibs(4);
     opt.mover.per_page_cost_ns = scaled_ns(50.0);
-    opt.mover.min_rank = args.get_u64("min-rank", 3);
-    opt.mover.admission = bench::admission_from_args(args);
+    opt.mover.min_rank = min_rank;
+    opt.mover.admission = admission;
     opt.badgertrap.fault_latency_ns = scaled_ns(10.0);
     opt.badgertrap.hot_extra_latency_ns = scaled_ns(13.0);
     opt.badgertrap.handler_cost_ns = scaled_ns(1.0);
-    opt.n_threads = bench::selected_threads(args);
+    opt.n_threads = threads;
     opt.fault = fault;
     opt.telemetry = telemetry.get();
 

@@ -67,6 +67,8 @@ int main(int argc, char** argv) {
   const std::vector<mem::TierSpec> custom = bench::tiers_from_args(args);
   const bool check = args.get_bool("check", false);
   const std::string csv_out = args.get("csv-out", "");
+  const std::vector<workloads::WorkloadSpec> specs = bench::selected_specs(args);
+  args.reject_unread();
 
   std::cout << "Extension: N-tier topology chains with device-side hotness "
                "monitoring (DevMon)\n\n";
@@ -81,7 +83,7 @@ int main(int argc, char** argv) {
   util::SimNs check_off_ns = 0, check_on_ns = 0;
   bool check_seen = false;
 
-  for (const auto& spec : bench::selected_specs(args)) {
+  for (const auto& spec : specs) {
     std::vector<std::vector<mem::TierSpec>> chains;
     if (!custom.empty()) {
       chains.push_back(custom);

@@ -320,7 +320,7 @@ void TmpDaemon::load_state(util::ckpt::Reader& r) {
   trace_gate_.load_state(r);
   pid_filter_.load_state(r);
   tracked_pids_.clear();
-  const std::uint64_t tracked = r.get_u64();
+  const std::uint64_t tracked = r.get_count(8);
   tracked_pids_.reserve(tracked);
   for (std::uint64_t i = 0; i < tracked; ++i) {
     tracked_pids_.push_back(static_cast<mem::Pid>(r.get_u64()));

@@ -12,12 +12,7 @@ TmpDriver::TmpDriver(sim::System& system, const DriverConfig& config)
     : system_(system),
       config_(config),
       scanner_(config.abit),
-      store_(system.phys().total_frames()),
-      cur_abit_(config.hotness),
-      cur_trace_(config.hotness),
-      cur_writes_(config.hotness),
-      cumulative_trace_4k_(config.hotness),
-      cumulative_abit_(config.hotness) {
+      store_(system.phys().total_frames()) {
   if (config_.backend == TraceBackend::Ibs) {
     ibs_ = std::make_unique<monitors::IbsMonitor>(config_.ibs,
                                                   system.config().cores);
@@ -272,17 +267,17 @@ void TmpDriver::save_state(util::ckpt::Writer& w) const {
   if (pml_) pml_->save_state(w);
   scanner_.save_state(w);
   store_.save_state(w);
-  cur_abit_.save_state(w, "driver");
-  cur_trace_.save_state(w, "driver");
-  cur_writes_.save_state(w, "driver");
+  cur_abit_.save_state(w);
+  cur_trace_.save_state(w);
+  cur_writes_.save_state(w);
   w.put_u32(epoch_);
   w.put_bool(trace_enabled_);
   w.put_u64(trace_samples_kept_);
   w.put_u64(trace_samples_dropped_);
   w.put_u64(scans_aborted_);
   save_page_counts(w, overflow_seen_);
-  cumulative_trace_4k_.save_state(w, "driver");
-  cumulative_abit_.save_state(w, "driver");
+  cumulative_trace_4k_.save_state(w);
+  cumulative_abit_.save_state(w);
 }
 
 void TmpDriver::load_state(util::ckpt::Reader& r) {

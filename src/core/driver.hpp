@@ -54,9 +54,8 @@ struct DriverConfig {
   /// controller (docs/TOPOLOGY.md). Off by default; `devmon.enabled`
   /// gates construction, so disabled runs are bitwise unchanged.
   monitors::DevMonConfig devmon;
-  /// Hotness front-end: exact FlatHashMap counters (default, historical
-  /// bit-exact behavior) or the count-min-sketch store (docs/SKETCH.md).
-  /// Selected per run through DaemonConfig::driver.
+  /// Settings-free; counting is always exact. Kept because the perfbench
+  /// driver passes it to TruthCollector.
   HotnessConfig hotness{};
 };
 
@@ -90,23 +89,12 @@ class TmpDriver {
   [[nodiscard]] const PageStatsStore& store() const noexcept { return store_; }
 
   /// Cumulative per-4KiB-frame trace sample counts (Fig. 5 CDF input).
-  /// Exact counts by definition, so this throws std::logic_error when the
-  /// driver runs the sketch front-end — consumers that can tolerate
-  /// one-sided estimates should use trace_store() instead.
-  [[nodiscard]] const PfnCountMap& trace_counts_4k() const {
+  [[nodiscard]] const PfnCountMap& trace_counts_4k() const noexcept {
     return cumulative_trace_4k_.exact_counts();
   }
   /// Cumulative per-page A-bit observation counts (Fig. 5 CDF input).
-  /// Throws std::logic_error in sketch mode; see trace_counts_4k().
-  [[nodiscard]] const PageCountMap& abit_counts() const {
+  [[nodiscard]] const PageCountMap& abit_counts() const noexcept {
     return cumulative_abit_.exact_counts();
-  }
-  /// Mode-agnostic cumulative stores (counts or one-sided estimates).
-  [[nodiscard]] const PfnHotnessCounts& trace_store() const noexcept {
-    return cumulative_trace_4k_;
-  }
-  [[nodiscard]] const HotnessCounts& abit_store() const noexcept {
-    return cumulative_abit_;
   }
 
   /// Modeled software overhead of collection so far (trace + scans).
@@ -179,8 +167,7 @@ class TmpDriver {
   std::unique_ptr<monitors::DevMonitor> devmon_;
   monitors::AbitScanner scanner_;
   PageStatsStore store_;
-  /// The open epoch's per-source accumulators (HotnessStore-backed; exact
-  /// mode reproduces the historical EpochObservation maps bit-for-bit).
+  /// The open epoch's per-source accumulators.
   HotnessCounts cur_abit_;
   HotnessCounts cur_trace_;
   HotnessCounts cur_writes_;
@@ -208,7 +195,6 @@ class TmpDriver {
   std::uint64_t scans_aborted_ = 0;
   /// Per-epoch occurrence index per page, so overflow-drop decisions are a
   /// pure function of (epoch, page, occurrence) — invariant to drain order.
-  /// Always exact: fault bookkeeping must not inherit sketch error.
   PageCountMap overflow_seen_;
   PfnHotnessCounts cumulative_trace_4k_;
   HotnessCounts cumulative_abit_;

@@ -100,7 +100,7 @@ void PidFilter::save_state(util::ckpt::Writer& w) const {
 
 void PidFilter::load_state(util::ckpt::Reader& r) {
   last_ops_.clear();
-  const std::uint64_t count = r.get_u64();
+  const std::uint64_t count = r.get_count(16);
   last_ops_.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     const auto pid = static_cast<mem::Pid>(r.get_u64());

@@ -145,7 +145,7 @@ void save_page_counts(util::ckpt::Writer& w, const PageCountMap& counts) {
 
 void load_page_counts(util::ckpt::Reader& r, PageCountMap& counts) {
   counts.clear();
-  const std::uint64_t n = r.get_u64();
+  const std::uint64_t n = r.get_count(PageKeyCodec::kBytes + 4);
   counts.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     const PageKey key = PageKeyCodec::load(r);
@@ -183,7 +183,7 @@ void save_ranking(util::ckpt::Writer& w, const std::vector<PageRank>& ranking) {
 
 void load_ranking(util::ckpt::Reader& r, std::vector<PageRank>& ranking) {
   ranking.clear();
-  const std::uint64_t n = r.get_u64();
+  const std::uint64_t n = r.get_count(PageKeyCodec::kBytes + 24);
   ranking.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     PageRank pr;

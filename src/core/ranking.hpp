@@ -40,15 +40,6 @@ using TruthMap = PageMap<std::uint64_t>;
 using PageKeySet = util::FlatHashSet<PageKey, PageKeyHash>;
 
 /// Per-page observations of one epoch, as collected by the TMP driver.
-///
-/// Under the sketch hotness front-end (DriverConfig::hotness) these maps
-/// hold the candidate pages' one-sided count-min estimates instead of
-/// exact tallies: a page's value is >= its true count, and pages below the
-/// candidate admission floor are absent. Every consumer in this header —
-/// ranking fusion and checkpoint serialization — is order/byte-stable
-/// over whatever counts it is given and makes no exactness assumption;
-/// consumers that do (Fig. 5 CDFs) must go through
-/// TmpDriver::trace_counts_4k()/abit_counts(), which enforce exact mode.
 struct EpochObservation {
   std::uint32_t epoch = 0;
   /// A-bit observations per page (head-keyed; 1 per scan that saw A set).
@@ -167,9 +158,7 @@ void build_ranking_into(const EpochObservation& obs,
                         std::vector<PageRank>& out);
 
 /// Checkpoint serialization helpers. Maps are written in ascending PageKey
-/// order so the byte stream is independent of in-memory slot order. These
-/// round-trip whatever counts the maps hold — exact tallies or sketch-mode
-/// estimates — without interpreting them.
+/// order so the byte stream is independent of in-memory slot order.
 void save_page_counts(util::ckpt::Writer& w, const PageCountMap& counts);
 void load_page_counts(util::ckpt::Reader& r, PageCountMap& counts);
 void save_observation(util::ckpt::Writer& w, const EpochObservation& obs);

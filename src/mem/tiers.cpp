@@ -249,9 +249,9 @@ void PhysMemory::load_state(util::ckpt::Reader& r) {
       arena.low_bump = r.get_u64();
       arena.high_bump = r.get_u64();
       arena.used = r.get_u64();
-      arena.free_4k.resize(r.get_u64());
+      arena.free_4k.resize(r.get_count(8));
       for (Pfn& pfn : arena.free_4k) pfn = r.get_u64();
-      arena.free_2m.resize(r.get_u64());
+      arena.free_2m.resize(r.get_count(8));
       for (Pfn& pfn : arena.free_2m) pfn = r.get_u64();
     }
   }

@@ -97,6 +97,9 @@ inline void save_sample(util::ckpt::Writer& w, const TraceSample& s) {
   w.put_bool(s.tlb_miss);
 }
 
+/// Encoded size of one sample.
+inline constexpr std::size_t kSampleBytes = 47;
+
 inline TraceSample load_sample(util::ckpt::Reader& r) {
   TraceSample s;
   s.time = r.get_u64();

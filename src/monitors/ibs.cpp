@@ -174,7 +174,7 @@ void IbsMonitor::load_state(util::ckpt::Reader& r) {
   }
   for (std::int64_t& c : countdown_) c = r.get_i64();
   for (std::uint8_t& armed : tag_armed_) armed = r.get_u8();
-  buffer_.resize(r.get_u64());
+  buffer_.resize(r.get_count(kSampleBytes));
   for (TraceSample& s : buffer_) s = load_sample(r);
   samples_taken_ = r.get_u64();
   tags_lost_ = r.get_u64();
@@ -190,7 +190,7 @@ void IbsMonitor::load_state(util::ckpt::Reader& r) {
   }
   for (CoreLane& lane : lanes_) {
     util::ckpt::load_rng(r, lane.rng);
-    lane.buffer.resize(r.get_u64());
+    lane.buffer.resize(r.get_count(kSampleBytes));
     for (TraceSample& s : lane.buffer) s = load_sample(r);
     lane.samples = r.get_u64();
     lane.tags_lost = r.get_u64();

@@ -139,7 +139,7 @@ void PebsMonitor::load_state(util::ckpt::Reader& r) {
     throw util::ckpt::CkptError("pebs", "core count mismatch");
   }
   for (std::uint64_t& c : counter_) c = r.get_u64();
-  buffer_.resize(r.get_u64());
+  buffer_.resize(r.get_count(kSampleBytes));
   for (TraceSample& s : buffer_) s = load_sample(r);
   samples_taken_ = r.get_u64();
   events_seen_ = r.get_u64();
@@ -154,7 +154,7 @@ void PebsMonitor::load_state(util::ckpt::Reader& r) {
     throw util::ckpt::CkptError("pebs", "lane count mismatch");
   }
   for (CoreLane& lane : lanes_) {
-    lane.buffer.resize(r.get_u64());
+    lane.buffer.resize(r.get_count(kSampleBytes));
     for (TraceSample& s : lane.buffer) s = load_sample(r);
     lane.samples = r.get_u64();
     lane.events = r.get_u64();

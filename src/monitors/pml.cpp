@@ -39,7 +39,7 @@ void PmlMonitor::save_state(util::ckpt::Writer& w) const {
 }
 
 void PmlMonitor::load_state(util::ckpt::Reader& r) {
-  log_.resize(r.get_u64());
+  log_.resize(r.get_count(8));
   for (mem::PhysAddr& paddr : log_) paddr = r.get_u64();
   entries_logged_ = r.get_u64();
   notifications_ = r.get_u64();

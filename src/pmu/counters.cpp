@@ -145,7 +145,7 @@ void PmuCore::save_state(util::ckpt::Writer& w) const {
 
 void PmuCore::load_state(util::ckpt::Reader& r) {
   for (std::uint64_t& count : true_) count = r.get_u64();
-  programmed_.resize(r.get_u64());
+  programmed_.resize(r.get_count(18));  // event, raw, live_ns, live
   for (Observation& obs : programmed_) {
     const std::uint8_t e = r.get_u8();
     if (e >= kEventCount) {

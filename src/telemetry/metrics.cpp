@@ -155,7 +155,7 @@ void MetricsRegistry::load_state(util::ckpt::Reader& r) {
     const std::string name = r.get_str();
     const std::uint64_t lo = r.get_u64();
     const std::uint64_t hi = r.get_u64();
-    const std::uint64_t buckets = r.get_u64();
+    const std::uint64_t buckets = r.get_count(8);
     if (hi <= lo || buckets == 0) {
       throw util::ckpt::CkptError(
           "telemetry", "invalid histogram shape for '" + name + "'");

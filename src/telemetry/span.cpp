@@ -54,7 +54,8 @@ void SpanTracer::load_state(util::ckpt::Reader& r) {
     throw util::ckpt::CkptError("telemetry", "span ring capacity mismatch");
   }
   overwritten_ = r.get_u64();
-  const std::uint64_t count = r.get_u64();
+  // A span with an empty name is 28 bytes.
+  const std::uint64_t count = r.get_count(28);
   if (count > capacity_) {
     throw util::ckpt::CkptError("telemetry", "span ring over capacity");
   }

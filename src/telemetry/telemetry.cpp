@@ -95,7 +95,8 @@ void Telemetry::load_state(util::ckpt::Reader& r) {
   metrics.load_state(r);
   SpanTracer tracer(config_.span_capacity);
   tracer.load_state(r);
-  std::vector<std::pair<std::uint32_t, std::string>> labels(r.get_u64());
+  std::vector<std::pair<std::uint32_t, std::string>> labels(
+      r.get_count(8));  // pid + name length
   for (auto& [pid, label] : labels) {
     pid = r.get_u32();
     label = r.get_str();

@@ -341,7 +341,8 @@ void AdmissionController::load_state(util::ckpt::Reader& r) {
     throw util::ckpt::CkptError("admission", "refill carry out of range");
   }
   history_.clear();
-  const std::uint64_t n = r.get_u64();
+  // Key, four u32 epochs, the length and strike bytes, then the ranks.
+  const std::uint64_t n = r.get_count(core::PageKeyCodec::kBytes + 18);
   history_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     const PageKey key = core::PageKeyCodec::load(r);

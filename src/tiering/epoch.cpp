@@ -19,7 +19,7 @@ void save_keys(util::ckpt::Writer& w, const std::vector<PageKey>& keys) {
 }
 
 void load_keys(util::ckpt::Reader& r, std::vector<PageKey>& keys) {
-  keys.resize(r.get_u64());
+  keys.resize(r.get_count(core::PageKeyCodec::kBytes));
   for (PageKey& key : keys) key = core::PageKeyCodec::load(r);
 }
 
@@ -33,7 +33,7 @@ void save_truth_map(util::ckpt::Writer& w, const core::TruthMap& map) {
 
 void load_truth_map(util::ckpt::Reader& r, core::TruthMap& map) {
   map.clear();
-  const std::uint64_t count = r.get_u64();
+  const std::uint64_t count = r.get_count(core::PageKeyCodec::kBytes + 8);
   map.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     const PageKey key = core::PageKeyCodec::load(r);
@@ -55,7 +55,7 @@ void save_size_map(util::ckpt::Writer& w, const PageSizeMap& map) {
 
 void load_size_map(util::ckpt::Reader& r, PageSizeMap& map) {
   map.clear();
-  const std::uint64_t count = r.get_u64();
+  const std::uint64_t count = r.get_count(core::PageKeyCodec::kBytes + 1);
   map.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     const PageKey key = core::PageKeyCodec::load(r);
@@ -72,17 +72,9 @@ constexpr std::uint64_t core::DegradeStats::*kSeriesDegradeFields[] = {
 }  // namespace
 
 TruthCollector::TruthCollector(sim::System& system,
-                               const core::HotnessConfig& hotness)
+                               const core::HotnessConfig& /*hotness*/)
     : system_(system) {
-  truth_.configure(hotness);
-  seen_.configure(hotness);
-  if (system.config().sharded_engine) {
-    shards_.resize(system.config().cores);
-    for (Shard& shard : shards_) {
-      shard.truth.configure(hotness);
-      shard.seen.configure(hotness);
-    }
-  }
+  if (system.config().sharded_engine) shards_.resize(system.config().cores);
 }
 
 void TruthCollector::on_mem_op(const monitors::MemOpEvent& event) {
@@ -125,22 +117,19 @@ void TruthCollector::merge_shards() {
       page_sizes_[key] = size;
     }
     shard.new_pages.clear();
-    // Exact mode folds counts in the shard's slot order (the historical
-    // merge); sketch mode adds shard sketch cells saturating and re-admits
-    // the shard's candidates. Either way the fold clears the shard.
-    truth_.merge_from(shard.truth);
+    truth_.merge_from(shard.truth);  // clears the shard
   }
 }
 
 void TruthCollector::save_state(util::ckpt::Writer& w) const {
-  truth_.save_state(w, "truth");
-  seen_.save_state(w, "truth");
+  truth_.save_state(w);
+  seen_.save_state(w);
   save_keys(w, new_pages_);
   save_size_map(w, page_sizes_);
   w.put_u64(shards_.size());
   for (const Shard& shard : shards_) {
-    shard.truth.save_state(w, "truth");
-    shard.seen.save_state(w, "truth");
+    shard.truth.save_state(w);
+    shard.seen.save_state(w);
     w.put_u64(shard.new_pages.size());
     for (const auto& [key, size] : shard.new_pages) {
       core::PageKeyCodec::save(w, key);
@@ -162,7 +151,8 @@ void TruthCollector::load_state(util::ckpt::Reader& r) {
     shard.truth.load_state(r, "truth");
     shard.seen.load_state(r, "truth");
     shard.new_pages.clear();
-    const std::uint64_t n_shard_new = r.get_u64();
+    const std::uint64_t n_shard_new =
+        r.get_count(core::PageKeyCodec::kBytes + 1);
     shard.new_pages.reserve(n_shard_new);
     for (std::uint64_t i = 0; i < n_shard_new; ++i) {
       const PageKey key = core::PageKeyCodec::load(r);
@@ -174,9 +164,8 @@ void TruthCollector::load_state(util::ckpt::Reader& r) {
 
 std::uint64_t TruthCollector::end_epoch(core::TruthMap& truth_out,
                                         std::vector<PageKey>& new_pages_out) {
-  // Exact mode swaps rather than moves: the caller's previous buffers
-  // become next epoch's accumulators, keeping their slot arrays. Sketch
-  // mode materializes the candidates' estimates through reused scratch.
+  // Swaps rather than moves: the caller's previous buffers become next
+  // epoch's accumulators, keeping their slot arrays.
   const std::uint64_t total = truth_.end_epoch_into(truth_out);
   std::swap(new_pages_out, new_pages_);
   new_pages_.clear();
@@ -236,7 +225,8 @@ void save_series(util::ckpt::Writer& w, const EpochSeries& series) {
 
 void load_series(util::ckpt::Reader& r, EpochSeries& series) {
   series.epochs.clear();
-  const std::uint64_t n_epochs = r.get_u64();
+  // An epoch record with empty maps and key lists is 64 bytes.
+  const std::uint64_t n_epochs = r.get_count(64);
   series.epochs.reserve(n_epochs);
   for (std::uint64_t i = 0; i < n_epochs; ++i) {
     EpochData data;
@@ -318,8 +308,6 @@ EpochSeries collect_series_impl(const WorkloadFactory& factory,
   plan.stage = [&](std::uint32_t e, core::ProfileSnapshot& snapshot) {
     EpochData data;
     data.epoch = e;
-    // The returned total is exact in both hotness modes (sketch-mode maps
-    // hold one-sided estimates; the hitrate denominator must not).
     data.truth_total = truth.end_epoch(data.truth, data.new_pages);
     data.observed = std::move(snapshot.observation);
     series.epochs.push_back(std::move(data));

@@ -34,9 +34,8 @@ namespace tmprof::tiering {
 /// the epoch barrier in ascending core order.
 class TruthCollector final : public monitors::AccessObserver {
  public:
-  /// `hotness` selects the counting front-end: exact (default, historical
-  /// bit-exact behavior) or the count-min-sketch store with a Bloom
-  /// seen-set (docs/SKETCH.md).
+  /// `hotness` carries no settings (counting is always exact); the
+  /// parameter stays because the perfbench driver passes it.
   explicit TruthCollector(sim::System& system,
                           const core::HotnessConfig& hotness = {});
 
@@ -48,9 +47,7 @@ class TruthCollector final : public monitors::AccessObserver {
   /// Swap out this epoch's truth counts and newly-seen pages. The swapped
   /// buffers come back (cleared, capacity retained) next call, so a caller
   /// that reuses one EpochData keeps the epoch loop allocation-free.
-  /// Returns the epoch's exact total of beyond-LLC accesses — in sketch
-  /// mode the materialized per-page counts are one-sided estimates, but
-  /// this total is always a plain accumulator, never a sum of estimates.
+  /// Returns the epoch's total of beyond-LLC accesses.
   std::uint64_t end_epoch(core::TruthMap& truth_out,
                           std::vector<PageKey>& new_pages_out);
 

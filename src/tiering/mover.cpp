@@ -573,7 +573,7 @@ void PageMover::load_state(util::ckpt::Reader& r) {
   fault_.load_state(r);
   deferred_.clear();
   deferred_set_.clear();
-  const std::uint64_t count = r.get_u64();
+  const std::uint64_t count = r.get_count(core::PageKeyCodec::kBytes + 1);
   deferred_.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     DeferredMove dm;

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/hotness.hpp"
 #include "util/assert.hpp"
 #include "util/ckpt.hpp"
 
@@ -68,11 +69,7 @@ PlacementSet OraclePolicy::choose(const PolicyContext& ctx) {
   return take_until_full(ordered, ctx);
 }
 
-FrequencyDecayPolicy::FrequencyDecayPolicy(double decay,
-                                           const core::HotnessConfig& hotness)
-    : decay_(decay),
-      score_cap_(hotness.mode == core::HotnessMode::Sketch ? hotness.candidates
-                                                           : 0) {
+FrequencyDecayPolicy::FrequencyDecayPolicy(double decay) : decay_(decay) {
   TMPROF_EXPECTS(decay > 0.0 && decay < 1.0);
 }
 
@@ -88,14 +85,6 @@ PlacementSet FrequencyDecayPolicy::choose(const PolicyContext& ctx) {
     if (a.second != b.second) return a.second > b.second;
     return a.first < b.first;
   });
-  if (score_cap_ != 0 && pages.size() > score_cap_) {
-    // Sketch-mode bound: retain only the hottest score_cap_ pages. The
-    // sorted order above is a strict total order, so the cut is
-    // deterministic; pages dropped here re-enter on their next sample.
-    pages.resize(score_cap_);
-    score_.clear();
-    for (const auto& [key, score] : pages) score_[key] = score;
-  }
   std::vector<PageKey> ordered;
   ordered.reserve(pages.size());
   for (const auto& [key, score] : pages) ordered.push_back(key);
@@ -145,14 +134,6 @@ std::unique_ptr<Policy> make_policy(const std::string& name) {
   throw std::invalid_argument("unknown policy: " + name);
 }
 
-std::unique_ptr<Policy> make_policy(const std::string& name,
-                                    const core::HotnessConfig& hotness) {
-  if (name == "freq-decay") {
-    return std::make_unique<FrequencyDecayPolicy>(0.5, hotness);
-  }
-  return make_policy(name);
-}
-
 void FirstTouchPolicy::save_state(util::ckpt::Writer& w) const {
   std::vector<PageKey> keys(placement_.begin(), placement_.end());
   std::sort(keys.begin(), keys.end());
@@ -163,7 +144,7 @@ void FirstTouchPolicy::save_state(util::ckpt::Writer& w) const {
 
 void FirstTouchPolicy::load_state(util::ckpt::Reader& r) {
   placement_.clear();
-  const std::uint64_t count = r.get_u64();
+  const std::uint64_t count = r.get_count(core::PageKeyCodec::kBytes);
   placement_.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     placement_.insert(core::PageKeyCodec::load(r));
@@ -181,7 +162,7 @@ void FrequencyDecayPolicy::save_state(util::ckpt::Writer& w) const {
 
 void FrequencyDecayPolicy::load_state(util::ckpt::Reader& r) {
   score_.clear();
-  const std::uint64_t count = r.get_u64();
+  const std::uint64_t count = r.get_count(core::PageKeyCodec::kBytes + 8);
   score_.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     const PageKey key = core::PageKeyCodec::load(r);

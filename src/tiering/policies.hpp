@@ -7,7 +7,6 @@
 #include <memory>
 #include <string>
 
-#include "core/hotness.hpp"
 #include "tiering/policy.hpp"
 
 namespace tmprof::tiering {
@@ -61,29 +60,18 @@ class OraclePolicy final : public Policy {
 
 /// Extension: exponentially-weighted moving average of observed hotness,
 /// smoothing History's reactivity on phase-changing workloads.
-///
-/// With a sketch-mode HotnessConfig the score table is bounded: after each
-/// epoch's fold only the `hotness.candidates` highest-scoring pages are
-/// retained (decayed float scores do not fit a count-min sketch, so this
-/// is a SpaceSaving-style cap rather than a sketch). Deterministic — the
-/// retained set is the top of the strict (score desc, key asc) order.
 class FrequencyDecayPolicy final : public Policy {
  public:
-  explicit FrequencyDecayPolicy(double decay = 0.5,
-                                const core::HotnessConfig& hotness = {});
+  explicit FrequencyDecayPolicy(double decay = 0.5);
 
   PlacementSet choose(const PolicyContext& ctx) override;
   [[nodiscard]] std::string_view name() const override { return "freq-decay"; }
-
-  /// Pages currently carrying a score (bounded in sketch mode).
-  [[nodiscard]] std::size_t tracked() const noexcept { return score_.size(); }
 
   void save_state(util::ckpt::Writer& w) const override;
   void load_state(util::ckpt::Reader& r) override;
 
  private:
   double decay_;
-  std::size_t score_cap_;  ///< 0 = unbounded (exact mode)
   core::PageMap<double> score_;
 };
 
@@ -109,10 +97,5 @@ class WriteHistoryPolicy final : public Policy {
 /// Factory by name: "first-touch", "history", "oracle", "freq-decay",
 /// "write-history".
 [[nodiscard]] std::unique_ptr<Policy> make_policy(const std::string& name);
-
-/// Hotness-aware factory: policies with per-page state ("freq-decay")
-/// bound it under a sketch-mode config; the rest are unaffected.
-[[nodiscard]] std::unique_ptr<Policy> make_policy(
-    const std::string& name, const core::HotnessConfig& hotness);
 
 }  // namespace tmprof::tiering

@@ -199,7 +199,7 @@ RunnerResult run_impl(const WorkloadFactory& factory,
           },
           [&](util::ckpt::Reader& r) {
             if (!oracle) return;
-            oracle_rankings.resize(r.get_u64());
+            oracle_rankings.resize(r.get_count(8));  // per-ranking count
             for (auto& ranking : oracle_rankings) {
               core::load_ranking(r, ranking);
             }

@@ -247,6 +247,19 @@ void Reader::get_bytes(void* out, std::size_t size) {
   cursor_ += size;
 }
 
+std::uint64_t Reader::get_count(std::size_t min_bytes_each) {
+  TMPROF_EXPECTS(min_bytes_each >= 1);
+  const std::uint64_t count = get_u64();
+  const std::size_t left = section_end_ - cursor_;
+  if (count > left / min_bytes_each) {
+    throw CkptError(current_.empty() ? kHeaderSection : current_,
+                    "element count " + std::to_string(count) +
+                        " does not fit the " + std::to_string(left) +
+                        " bytes left in the section");
+  }
+  return count;
+}
+
 std::vector<std::string> Reader::section_names() const {
   std::vector<std::string> names;
   names.reserve(sections_.size());

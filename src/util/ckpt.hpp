@@ -127,6 +127,11 @@ class Reader {
   }
   std::string get_str();
   void get_bytes(void* out, std::size_t size);
+  /// Read a u64 element count for a container about to be sized from it.
+  /// Each element takes at least `min_bytes_each` (>= 1) bytes, so a count
+  /// the rest of the section cannot hold throws CkptError naming the
+  /// section instead of reaching a reserve() or resize().
+  std::uint64_t get_count(std::size_t min_bytes_each);
 
   /// Names of all sections, in file order.
   [[nodiscard]] std::vector<std::string> section_names() const;

@@ -39,9 +39,9 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
     if (arg.rfind("--", 0) == 0) {
       const auto eq = arg.find('=');
       if (eq == std::string::npos) {
-        options_[arg.substr(2)] = "true";
+        options_[arg.substr(2)].value = "true";
       } else {
-        options_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+        options_[arg.substr(2, eq - 2)].value = arg.substr(eq + 1);
       }
     } else {
       positional_.push_back(arg);
@@ -49,36 +49,43 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
   }
 }
 
+const std::string* ArgParser::find(const std::string& key) const {
+  const auto it = options_.find(key);
+  if (it == options_.end()) return nullptr;
+  if (!it->second.read) it->second.read = true;
+  return &it->second.value;
+}
+
 bool ArgParser::has(const std::string& key) const {
-  return options_.count(key) != 0;
+  return find(key) != nullptr;
 }
 
 std::string ArgParser::get(const std::string& key,
                            const std::string& fallback) const {
-  const auto it = options_.find(key);
-  return it == options_.end() ? fallback : it->second;
+  const std::string* value = find(key);
+  return value == nullptr ? fallback : *value;
 }
 
 std::uint64_t ArgParser::get_u64(const std::string& key,
                                  std::uint64_t fallback) const {
-  const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  if (const std::optional<std::uint64_t> parsed = parse_u64(it->second)) {
+  const std::string* value = find(key);
+  if (value == nullptr) return fallback;
+  if (const std::optional<std::uint64_t> parsed = parse_u64(*value)) {
     return *parsed;
   }
   throw std::invalid_argument("--" + key +
-                              " expects an unsigned integer, got '" +
-                              it->second + "'");
+                              " expects an unsigned integer, got '" + *value +
+                              "'");
 }
 
 double ArgParser::get_double(const std::string& key, double fallback) const {
-  const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  if (const std::optional<double> parsed = parse_double(it->second)) {
+  const std::string* value = find(key);
+  if (value == nullptr) return fallback;
+  if (const std::optional<double> parsed = parse_double(*value)) {
     return *parsed;
   }
   throw std::invalid_argument("--" + key + " expects a finite number, got '" +
-                              it->second + "'");
+                              *value + "'");
 }
 
 double ArgParser::get_checked_double(const std::string& key, double fallback,
@@ -94,12 +101,20 @@ double ArgParser::get_checked_double(const std::string& key, double fallback,
 }
 
 bool ArgParser::get_bool(const std::string& key, bool fallback) const {
-  const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  const std::string& v = it->second;
+  const std::string* value = find(key);
+  if (value == nullptr) return fallback;
+  const std::string& v = *value;
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
   throw std::invalid_argument("ArgParser: bad boolean for --" + key + ": " + v);
+}
+
+void ArgParser::reject_unread() const {
+  for (const auto& [key, option] : options_) {
+    if (!option.read) {
+      throw std::invalid_argument("unknown flag --" + key);
+    }
+  }
 }
 
 }  // namespace tmprof::util

@@ -19,7 +19,10 @@ namespace tmprof::util {
 [[nodiscard]] std::optional<double> parse_double(const std::string& text);
 
 /// Parses `--key=value` and bare `--flag` arguments. Positional arguments
-/// are collected in order. Unknown keys are allowed (benches share configs).
+/// are collected in order. has()/get*() mark the flag they find as read;
+/// reject_unread() then refuses any flag the program never asked about.
+/// Reads are safe from concurrent threads once each given flag has been
+/// read once (later reads only test the mark).
 class ArgParser {
  public:
   ArgParser(int argc, const char* const* argv);
@@ -50,8 +53,22 @@ class ArgParser {
     return positional_;
   }
 
+  /// Throws std::invalid_argument naming the first flag (in key order)
+  /// that no has()/get*() call has read, so a misspelt or retired flag
+  /// fails instead of silently running the defaults. Call it once, after
+  /// every flag the program takes has been read.
+  void reject_unread() const;
+
  private:
-  std::map<std::string, std::string> options_;
+  struct Option {
+    std::string value;
+    mutable bool read = false;
+  };
+
+  /// The value of flag `key` (marked read), or null when it was not given.
+  [[nodiscard]] const std::string* find(const std::string& key) const;
+
+  std::map<std::string, Option> options_;
   std::vector<std::string> positional_;
 };
 

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "monitors/devmon.hpp"
 #include "tiering/admission.hpp"
 #include "tiering/epoch.hpp"
+#include "tiering/policies.hpp"
 #include "tiering/runner.hpp"
 #include "tiering/tenant.hpp"
 #include "util/rng.hpp"
@@ -183,38 +185,6 @@ std::vector<std::uint8_t> sample_image() {
   return w.finish();
 }
 
-/// A checkpoint image holding real sketch-mode sections (count-min cells,
-/// Bloom words, a sketch-mode HotnessStore) so the corruption matrix below
-/// also covers the probabilistic state introduced by docs/SKETCH.md.
-std::vector<std::uint8_t> sketch_image() {
-  util::CountMinSketch cms(64, 3, 7);
-  util::BloomFilter bloom(256, 4, 7);
-  core::HotnessConfig cfg;
-  cfg.mode = core::HotnessMode::Sketch;
-  cfg.sketch.width = 64;
-  cfg.sketch.depth = 2;
-  cfg.candidates = 32;
-  tmprof::core::HotnessCounts store(cfg);
-  util::Rng rng(3);
-  for (int i = 0; i < 500; ++i) {
-    const std::uint64_t page = rng.below(64);
-    cms.add(page, 1);
-    bloom.insert(page);
-    store.add(core::PageKey{1, page << mem::kPageShift});
-  }
-  Writer w;
-  w.begin_section("cms");
-  cms.save_state(w);
-  w.end_section();
-  w.begin_section("bloom");
-  bloom.save_state(w);
-  w.end_section();
-  w.begin_section("store");
-  store.save_state(w, "store");
-  w.end_section();
-  return w.finish();
-}
-
 /// A checkpoint image holding a populated AdmissionController (per-page
 /// rank history, live cool-downs, a drained token bucket, retuned adaptive
 /// threshold and the internal registry) so the corruption matrix also
@@ -324,30 +294,6 @@ TEST(CkptCorruption, EverySingleBitFlipRejected) {
       std::vector<std::uint8_t> flipped = image;
       flipped[byte] = static_cast<std::uint8_t>(
           flipped[byte] ^ (1U << bit));
-      EXPECT_TRUE(rejected_or_degraded(flipped, names))
-          << "bit flip at byte " << byte << " bit " << bit << " accepted";
-    }
-  }
-}
-
-TEST(CkptCorruption, SketchSectionsTruncationAtEveryLengthRejected) {
-  const std::vector<std::uint8_t> image = sketch_image();
-  const std::vector<std::string> names = Reader(image).section_names();
-  for (std::size_t len = 0; len < image.size(); ++len) {
-    const std::vector<std::uint8_t> prefix(
-        image.begin(), image.begin() + static_cast<std::ptrdiff_t>(len));
-    EXPECT_TRUE(rejected_or_degraded(prefix, names))
-        << "truncation to " << len << " bytes was accepted";
-  }
-}
-
-TEST(CkptCorruption, SketchSectionsEverySingleBitFlipRejected) {
-  const std::vector<std::uint8_t> image = sketch_image();
-  const std::vector<std::string> names = Reader(image).section_names();
-  for (std::size_t byte = 0; byte < image.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::vector<std::uint8_t> flipped = image;
-      flipped[byte] = static_cast<std::uint8_t>(flipped[byte] ^ (1U << bit));
       EXPECT_TRUE(rejected_or_degraded(flipped, names))
           << "bit flip at byte " << byte << " bit " << bit << " accepted";
     }
@@ -504,6 +450,64 @@ TEST(CkptCorruption, TenantSectionEverySingleBitFlipRejected) {
       flipped[byte] = static_cast<std::uint8_t>(flipped[byte] ^ (1U << bit));
       EXPECT_TRUE(rejected_or_degraded(flipped, names))
           << "bit flip at byte " << byte << " bit " << bit << " accepted";
+    }
+  }
+}
+
+/// A CRC-valid section whose element count is far larger than the bytes
+/// that follow must fail as CkptError — the one type the resume path
+/// catches — naming the section, before any container is sized from it.
+TEST(CkptCorruption, HugeElementCountThrowsCkptError) {
+  constexpr std::uint64_t kHuge = 1ULL << 58;
+  const auto none = [](Writer&) {};
+  const auto marker_and_total = [](Writer& w) {
+    w.put_u8(0);
+    w.put_u64(0);
+  };
+  struct Case {
+    std::string section;
+    std::function<void(Writer&)> prefix;
+    std::function<void(Reader&)> load;
+  };
+  const std::vector<Case> cases = {
+      {"truth", marker_and_total,
+       [](Reader& r) { core::HotnessTruth().load_state(r, "truth"); }},
+      {"driver", marker_and_total,
+       [](Reader& r) { core::PfnHotnessCounts().load_state(r, "driver"); }},
+      {"seen", [](Writer& w) { w.put_u8(0); },
+       [](Reader& r) { core::PageHotnessSet().load_state(r, "seen"); }},
+      {"counts", none,
+       [](Reader& r) {
+         core::PageCountMap counts;
+         core::load_page_counts(r, counts);
+       }},
+      {"ranking", none,
+       [](Reader& r) {
+         std::vector<core::PageRank> ranking;
+         core::load_ranking(r, ranking);
+       }},
+      {"series", none,
+       [](Reader& r) {
+         tiering::EpochSeries series;
+         tiering::load_series(r, series);
+       }},
+      {"policy", none,
+       [](Reader& r) { tiering::FrequencyDecayPolicy().load_state(r); }},
+  };
+  for (const Case& c : cases) {
+    Writer w;
+    w.begin_section(c.section);
+    c.prefix(w);
+    w.put_u64(kHuge);
+    w.put_u64(0);
+    w.end_section();
+    Reader r(w.finish());
+    r.enter_section(c.section);
+    try {
+      c.load(r);
+      ADD_FAILURE() << c.section << ": huge count accepted";
+    } catch (const CkptError& err) {
+      EXPECT_EQ(err.section(), c.section);
     }
   }
 }
@@ -900,50 +904,6 @@ TEST(CkptResume, ShardedCollectResumesIdentical) {
   ASSERT_TRUE(fs::exists(resume.checkpoint.resume_from));
   const EpochSeries resumed = collect_series(spec, tiny_config(), resume);
   EXPECT_EQ(series_image(resumed), series_image(reference));
-}
-
-TEST(CkptResume, SketchModeCollectResumesIdentical) {
-  // The sketch front-end's state (count-min cells, Bloom words, candidate
-  // sets, admission floors) rides in the checkpoint; a kill-and-resume run
-  // must be byte-identical to the uninterrupted one, exactly as in exact
-  // mode.
-  const auto spec = workloads::find_spec("gups", 0.05);
-  CollectOptions collect;
-  collect.n_epochs = 4;
-  collect.ops_per_epoch = 30000;
-  collect.daemon.driver.ibs = monitors::IbsConfig::with_period(256);
-  collect.daemon.driver.hotness.mode = core::HotnessMode::Sketch;
-  collect.daemon.driver.hotness.sketch.width = 1 << 12;
-  collect.daemon.driver.hotness.candidates = 1 << 13;
-  collect.n_threads = 1;  // sharded engine, inline
-  const EpochSeries reference = collect_series(spec, tiny_config(), collect);
-
-  const fs::path dir = fs::path(::testing::TempDir()) / "tmprof-collect-sketch";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  CollectOptions ck = collect;
-  ck.checkpoint.every = 2;
-  ck.checkpoint.dir = dir.string();
-  (void)collect_series(spec, tiny_config(), ck);
-
-  CollectOptions resume = collect;
-  resume.checkpoint.resume_from =
-      util::ckpt::checkpoint_path(dir.string(), "ckpt", 2);
-  ASSERT_TRUE(fs::exists(resume.checkpoint.resume_from));
-  const EpochSeries resumed = collect_series(spec, tiny_config(), resume);
-  EXPECT_EQ(series_image(resumed), series_image(reference));
-
-  // A checkpoint written in sketch mode must not graft onto an exact-mode
-  // run: the mode byte rejects it and the run cold-starts.
-  CollectOptions exact_resume = collect;
-  exact_resume.daemon.driver.hotness = core::HotnessConfig{};
-  const EpochSeries exact_reference =
-      collect_series(spec, tiny_config(), exact_resume);
-  exact_resume.checkpoint.resume_from =
-      util::ckpt::checkpoint_path(dir.string(), "ckpt", 2);
-  const EpochSeries exact_resumed =
-      collect_series(spec, tiny_config(), exact_resume);
-  EXPECT_EQ(series_image(exact_resumed), series_image(exact_reference));
 }
 
 TEST(CkptResume, CorruptCheckpointFallsBackToColdStart) {

@@ -1,8 +1,9 @@
 /// The shared checkpointed epoch loop (run_epochs, tiering/epoch.hpp): the
 /// on-disk section layout is pinned byte for byte, every saved section is
 /// also loaded, `resume_latest` walks back through the retained files
-/// before it starts cold, a rejected telemetry section restores nothing, and
-/// the retired streaming-transport markers reject a `true`.
+/// before it starts cold, a rejected telemetry section restores nothing,
+/// the retired streaming-transport markers reject a `true`, and the hotness
+/// stores' marker rejects anything but exact counting.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/hotness.hpp"
 #include "monitors/ibs.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tiering/epoch.hpp"
@@ -546,6 +548,102 @@ TEST(CkptStreamMarker, IbsStreamingFlagTrueStartsCold) {
   ASSERT_EQ(daemon.at(at), 0);
   daemon[at] = 1;
   expect_cold_start(run, sections, "ibs");
+}
+
+// ---------------------------------------------------------------------------
+// Hotness-store marker: every hotness store and seen-set writes a
+// leading `0` byte (exact counting). A CRC-valid "truth" section carrying
+// any other value — a checkpoint from a build with the count-min sketch
+// front-end — must be rejected naming the section, and the cold start must
+// match a collection that never resumed. A CRC-valid section with an
+// absurd element count must take the same path instead of escaping as a
+// std::length_error.
+
+struct CollectMarkerRun {
+  Image reference;    ///< series image of the uncheckpointed collection
+  Sections sections;  ///< the epoch-2 checkpoint of the same collection
+  fs::path dir;
+};
+
+CollectMarkerRun collect_marker_run(const std::string& name) {
+  const auto spec = workloads::find_spec("gups", 0.05);
+  CollectMarkerRun out;
+  out.reference =
+      series_image(collect_series(spec, tiny_config(), small_collect(3)));
+  out.dir = fresh_dir(name);
+  CollectOptions ck = small_collect(3);
+  ck.checkpoint.every = 2;
+  ck.checkpoint.dir = out.dir.string();
+  (void)collect_series(spec, tiny_config(), ck);
+  out.sections = split_sections(
+      read_file(util::ckpt::checkpoint_path(out.dir.string(), "ckpt", 2)));
+  return out;
+}
+
+/// Resume a collection from `sections`: exactly one rejection naming
+/// "truth", then a cold start equal to the fresh collection.
+void expect_collect_cold_start(const CollectMarkerRun& run,
+                               const Sections& sections,
+                               const std::string& file) {
+  const std::string path = (run.dir / file).string();
+  write_file(path, join_sections(sections));
+  CollectOptions resume = small_collect(3);
+  resume.checkpoint.resume_from = path;
+  ::testing::internal::CaptureStderr();
+  const Image got = series_image(collect_series(
+      workloads::find_spec("gups", 0.05), tiny_config(), resume));
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(count_of(log, rejected_in("truth")), 1U) << log;
+  EXPECT_EQ(got, run.reference);
+}
+
+/// Encoded length of the truth store that opens a "truth" payload, found
+/// by loading it and saving it again.
+std::size_t truth_store_bytes(const Image& truth) {
+  util::ckpt::Writer framed;
+  framed.begin_section("truth");
+  framed.put_bytes(truth.data(), truth.size());
+  util::ckpt::Reader r(framed.finish());
+  r.enter_section("truth");
+  core::HotnessTruth store;
+  store.load_state(r, "truth");
+  util::ckpt::Writer w;
+  w.begin_section("truth");
+  store.save_state(w);
+  return split_sections(w.finish()).front().second.size();
+}
+
+TEST(CkptHotnessMarker, TruthStoreMarkerNonzeroStartsCold) {
+  const CollectMarkerRun run = collect_marker_run("marker-truth-store");
+  Sections sections = run.sections;
+  Image& truth = payload_of(sections, "truth");
+  ASSERT_EQ(truth.at(0), 0);
+  truth[0] = 1;
+  expect_collect_cold_start(run, sections, "marker-truth-store.tmck");
+}
+
+TEST(CkptHotnessMarker, SeenSetMarkerNonzeroStartsCold) {
+  const CollectMarkerRun run = collect_marker_run("marker-seen-set");
+  Sections sections = run.sections;
+  Image& truth = payload_of(sections, "truth");
+  const std::size_t at = truth_store_bytes(truth);
+  ASSERT_EQ(truth.at(at), 0);
+  truth[at] = 1;
+  expect_collect_cold_start(run, sections, "marker-seen-set.tmck");
+}
+
+TEST(CkptCorruption, HugeTruthCountStartsCold) {
+  const CollectMarkerRun run = collect_marker_run("huge-truth-count");
+  Sections sections = run.sections;
+  // Marker 0, total 0, then an element count of 2^58 with nothing after.
+  util::ckpt::Writer w;
+  w.begin_section("truth");
+  w.put_u8(0);
+  w.put_u64(0);
+  w.put_u64(1ULL << 58);
+  w.end_section();
+  payload_of(sections, "truth") = split_sections(w.finish()).front().second;
+  expect_collect_cold_start(run, sections, "huge-truth-count.tmck");
 }
 
 }  // namespace

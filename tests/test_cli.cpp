@@ -110,6 +110,41 @@ TEST(Cli, CheckedDoubleBounds) {
                std::invalid_argument);
 }
 
+TEST(Cli, RejectUnreadNamesTheFirstUnreadFlag) {
+  const auto p = parse({"--workload=lulesh", "--stream=1",
+                        "--bogus-flag=1"});
+  EXPECT_EQ(p.get("workload", ""), "lulesh");
+  try {
+    p.reject_unread();
+    FAIL() << "unread flags accepted";
+  } catch (const std::invalid_argument& err) {
+    // Flags are checked in key order: --bogus-flag before --stream.
+    EXPECT_STREQ(err.what(), "unknown flag --bogus-flag");
+  }
+  (void)p.get_u64("bogus-flag", 0);
+  try {
+    p.reject_unread();
+    FAIL() << "unread --stream accepted";
+  } catch (const std::invalid_argument& err) {
+    EXPECT_STREQ(err.what(), "unknown flag --stream");
+  }
+}
+
+TEST(Cli, EveryAccessorMarksItsFlagRead) {
+  const auto p = parse({"--a", "--b=x", "--c=1", "--d=0.5", "--e=0.25",
+                        "--f=2.0", "--g=on", "positional"});
+  EXPECT_TRUE(p.has("a"));
+  EXPECT_EQ(p.get("b", ""), "x");
+  EXPECT_EQ(p.get_u64("c", 0), 1U);
+  EXPECT_DOUBLE_EQ(p.get_double("d", 0.0), 0.5);
+  EXPECT_DOUBLE_EQ(p.get_rate("e", 0.0), 0.25);
+  EXPECT_DOUBLE_EQ(p.get_checked_double("f", 0.0, 0.0, 4.0), 2.0);
+  EXPECT_TRUE(p.get_bool("g", false));
+  // Asking about absent flags and positional arguments is fine.
+  EXPECT_FALSE(p.has("absent"));
+  EXPECT_NO_THROW(p.reject_unread());
+}
+
 }  // namespace
 }  // namespace tmprof::util
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
+
 namespace tmprof::tiering {
 namespace {
 
@@ -97,6 +101,60 @@ TEST(EpochCollect, ObservationsArriveFromBothMethods) {
   }
   EXPECT_GT(abit, 0U);
   EXPECT_GT(trace, 0U);
+}
+
+/// Plain-container recount of what TruthCollector tracks: beyond-LLC
+/// accesses per page and first touches in order. Gives no shard sink, so
+/// the sharded engine replays its events at the barrier in core order.
+struct ReferenceTruth final : monitors::AccessObserver {
+  void on_mem_op(const monitors::MemOpEvent& event) override {
+    const PageKey key{event.pid, mem::page_base(event.vaddr, event.page_size)};
+    if (seen.insert(key).second) new_pages.push_back(key);
+    if (mem::is_memory(event.source)) {
+      ++counts[key];
+      ++total;
+    }
+  }
+  std::unordered_map<PageKey, std::uint64_t, PageKeyHash> counts;
+  std::unordered_set<PageKey, PageKeyHash> seen;
+  std::vector<PageKey> new_pages;
+  std::uint64_t total = 0;
+};
+
+TEST(HotnessStoreCollect, TruthMatchesPlainReferenceOnBothEngines) {
+  const auto spec = workloads::find_spec("gups", 0.05);
+  for (const bool sharded : {false, true}) {
+    sim::SimConfig cfg = small_config();
+    cfg.sharded_engine = sharded;
+    sim::System system(cfg);
+    add_spec_processes(system, spec, 42);
+    TruthCollector truth(system);
+    ReferenceTruth reference;
+    system.add_observer(&truth);
+    system.add_observer(&reference);
+    core::TruthMap counts;
+    std::vector<PageKey> new_pages;
+    for (int e = 0; e < 3; ++e) {
+      if (sharded) {
+        system.step_parallel(30000, nullptr);
+      } else {
+        system.step(30000);
+      }
+      EXPECT_EQ(truth.end_epoch(counts, new_pages), reference.total);
+      ASSERT_EQ(counts.size(), reference.counts.size());
+      for (const auto& [key, count] : reference.counts) {
+        const auto it = counts.find(key);
+        ASSERT_NE(it, counts.end());
+        EXPECT_EQ(it->second, count);
+      }
+      EXPECT_EQ(new_pages, reference.new_pages);
+      reference.counts.clear();
+      reference.new_pages.clear();
+      reference.total = 0;
+    }
+    system.remove_observer(&reference);
+    system.remove_observer(&truth);
+  }
 }
 
 }  // namespace

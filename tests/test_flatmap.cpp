@@ -4,10 +4,12 @@
 
 #include <cstdint>
 #include <map>
+#include <unordered_set>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "core/hotness.hpp"
 #include "core/page_key.hpp"
 #include "core/ranking.hpp"
 #include "util/ckpt.hpp"
@@ -263,6 +265,85 @@ TEST(FlatMap, U64HashAvalanche) {
   }
   // An identity hash would score 1024; a mixing hash scores ~1.
   EXPECT_LT(collisions_low_bits, 16U);
+}
+
+// ---------------------------------------------------------------------------
+// HotnessStore / HotnessSet: the exact counting front-end over these maps.
+
+PageKey spread_key(std::uint64_t page) {
+  return key(1 + page % 4, page);
+}
+
+TEST(HotnessStore, ExactMatchesPlainMap) {
+  core::HotnessCounts store;
+  core::PageCountMap reference;
+  Rng rng(5);
+  for (int i = 0; i < 30000; ++i) {
+    const PageKey k = spread_key(rng.below(2000));
+    store.add(k);
+    reference[k] += 1;
+  }
+  EXPECT_EQ(store.total(), 30000u);
+  EXPECT_EQ(store.exact_counts(), reference);
+  core::PageCountMap out;
+  EXPECT_EQ(store.end_epoch_into(out), 30000u);
+  EXPECT_EQ(out, reference);
+  EXPECT_EQ(store.total(), 0u);
+  EXPECT_TRUE(store.exact_counts().empty());
+}
+
+TEST(HotnessStore, MergeFromIsDeterministic) {
+  auto run = [] {
+    std::vector<core::HotnessTruth> shards(4);
+    core::HotnessTruth merged;
+    Rng rng(3);
+    for (int i = 0; i < 60000; ++i) {
+      const std::uint64_t page = rng.below(3000);
+      shards[page % 4].add(spread_key(page));
+    }
+    for (auto& shard : shards) {
+      merged.merge_from(shard);
+      EXPECT_EQ(shard.total(), 0u);
+      EXPECT_TRUE(shard.exact_counts().empty());
+    }
+    EXPECT_EQ(merged.total(), 60000u);
+    ckpt::Writer w;
+    w.begin_section("out");
+    merged.save_state(w);
+    w.end_section();
+    return w.finish();
+  };
+  EXPECT_EQ(run(), run());
+}
+
+TEST(HotnessStore, CheckpointRoundTrip) {
+  core::HotnessCounts store;
+  Rng rng(9);
+  for (int i = 0; i < 40000; ++i) store.add(spread_key(rng.below(4000)));
+
+  ckpt::Writer w;
+  w.begin_section("store");
+  store.save_state(w);
+  w.end_section();
+  core::HotnessCounts restored;
+  ckpt::Reader r(w.finish());
+  r.enter_section("store");
+  restored.load_state(r, "store");
+  r.end_section();
+  EXPECT_EQ(store, restored);
+}
+
+TEST(HotnessStore, SetInsertReportsFirstSightings) {
+  core::PageHotnessSet set;
+  std::unordered_set<std::uint64_t> reference;
+  Rng rng(41);
+  for (int i = 0; i < 30000; ++i) {
+    const std::uint64_t page = rng.below(5000);
+    const bool truly_new = reference.insert(page).second;
+    EXPECT_EQ(set.insert(spread_key(page)), truly_new);
+    ASSERT_TRUE(set.contains(spread_key(page)));
+  }
+  EXPECT_EQ(set.size(), reference.size());
 }
 
 }  // namespace
