@@ -13,9 +13,10 @@
 #include "tiering/policies.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(const tmprof::util::ArgParser& args) {
   using namespace tmprof;
-  const util::ArgParser args(argc, argv);
   const std::uint64_t total_ops = args.get_u64("total-ops", 4'800'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
   const std::uint32_t threads = bench::selected_threads(args);
@@ -76,4 +77,10 @@ int main(int argc, char** argv) {
                "long epochs rank confidently but adapt rarely. Churning "
                "workloads favor short epochs, stationary ones the knee.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

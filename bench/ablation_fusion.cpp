@@ -15,9 +15,10 @@
 #include "tiering/policies.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(const tmprof::util::ArgParser& args) {
   using namespace tmprof;
-  const util::ArgParser args(argc, argv);
   const std::uint32_t epochs =
       static_cast<std::uint32_t>(args.get_u64("epochs", 8));
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 600'000);
@@ -75,4 +76,10 @@ int main(int argc, char** argv) {
                "workload; single-source modes lose where their blind spot "
                "dominates.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

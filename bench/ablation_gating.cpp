@@ -58,10 +58,7 @@ GateOutcome run(double threshold, bool enabled, std::uint32_t bursts,
   return outcome;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
+int bench_main(const util::ArgParser& args) {
   const std::uint32_t bursts =
       static_cast<std::uint32_t>(args.get_u64("bursts", 5));
   const std::uint64_t ops_per_phase = args.get_u64("ops-per-phase", 400'000);
@@ -92,4 +89,10 @@ int main(int argc, char** argv) {
                "scans at no visibility loss (idle scans observe nothing "
                "anyway); higher thresholds start skipping busy scans.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

@@ -50,10 +50,7 @@ ScanOutcome run(const workloads::WorkloadSpec& spec, bool shootdown,
   return outcome;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
+int bench_main(const util::ArgParser& args) {
   const std::uint32_t epochs =
       static_cast<std::uint32_t>(args.get_u64("epochs", 6));
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 500'000);
@@ -91,4 +88,10 @@ int main(int argc, char** argv) {
                "cost — the trade the paper resolves in favor of lazy "
                "clearing.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

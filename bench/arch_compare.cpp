@@ -79,10 +79,7 @@ ArchResult run(Arch arch, const workloads::WorkloadSpec& spec,
   return result;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
+int bench_main(const util::ArgParser& args) {
   const std::uint32_t epochs =
       static_cast<std::uint32_t>(args.get_u64("epochs", 8));
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 400'000);
@@ -119,4 +116,10 @@ int main(int argc, char** argv) {
                "multiples slower than in-place tiering — the paper's core "
                "architectural argument. Cache-resident workloads tie.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

@@ -90,10 +90,7 @@ std::string fingerprint(const tiering::RunnerResult& r) {
   return s;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
+int bench_main(const util::ArgParser& args) {
   const std::string workload = args.get("workload", "gups");
   const double scale = args.get_double("scale", 0.5);
   const std::uint32_t epochs =
@@ -232,4 +229,10 @@ int main(int argc, char** argv) {
   if (csv) std::cout << "Rows written to chaos.csv\n";
   if (telemetry) telemetry->export_final();
   return failures;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

@@ -8,8 +8,10 @@
 /// results is preserved. See DESIGN.md §2 for the substitution table.
 
 #include <cstdint>
+#include <iostream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -375,6 +377,22 @@ inline const std::vector<std::string>& storm_csv_header() {
       "rejected",         "cooled",          "shed",
       "throttled_epochs", "bytes_saved_pct", "hitrate_delta"};
   return header;
+}
+
+/// Shared bench entry point: parses the command line and runs `body`. A
+/// bad flag or value (std::invalid_argument — an unknown flag from
+/// reject_unread, a malformed number, an out-of-range setting) prints
+/// "error: <message>" to stderr and exits with status 2, the usage-error
+/// convention, instead of escaping main and aborting the process.
+inline int run_main(int argc, char** argv,
+                    int (*body)(const util::ArgParser& args)) {
+  try {
+    const util::ArgParser args(argc, argv);
+    return body(args);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 2;
+  }
 }
 
 }  // namespace tmprof::bench

@@ -340,10 +340,7 @@ int fleet_main(const util::ArgParser& args) {
   return (fleet.isolation_check && !isolated) ? 1 : 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
+int bench_main(const util::ArgParser& args) {
   if (args.get_bool("fleet", false)) return fleet_main(args);
   const std::uint32_t epochs =
       static_cast<std::uint32_t>(args.get_u64("epochs", 10));
@@ -378,4 +375,10 @@ int main(int argc, char** argv) {
                "capacity-allocation subtlety the paper's 4 KiB-centric "
                "evaluation never hits.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

@@ -25,9 +25,10 @@
 #include "tiering/epoch.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(const tmprof::util::ArgParser& args) {
   using namespace tmprof;
-  const util::ArgParser args(argc, argv);
   const std::uint32_t epochs =
       static_cast<std::uint32_t>(args.get_u64("epochs", 6));
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 500'000);
@@ -101,4 +102,10 @@ int main(int argc, char** argv) {
                "magnitude, so TMP ranks by the plain sum of A-bit and trace "
                "samples without underestimating either.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

@@ -20,9 +20,10 @@
 #include "tiering/epoch.hpp"
 #include "util/histogram.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(const tmprof::util::ArgParser& args) {
   using namespace tmprof;
-  const util::ArgParser args(argc, argv);
   const std::uint64_t ops = args.get_u64("ops", 4'000'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
   const bool write_csv = args.get_bool("csv", true);
@@ -66,4 +67,10 @@ int main(int argc, char** argv) {
   }
   if (write_csv) std::cout << "Full grids written to fig3_<workload>.csv\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

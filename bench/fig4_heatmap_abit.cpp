@@ -19,9 +19,10 @@
 #include "tiering/epoch.hpp"
 #include "util/histogram.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(const tmprof::util::ArgParser& args) {
   using namespace tmprof;
-  const util::ArgParser args(argc, argv);
   const std::uint32_t epochs =
       static_cast<std::uint32_t>(args.get_u64("epochs", 48));
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 100'000);
@@ -66,4 +67,10 @@ int main(int argc, char** argv) {
   }
   if (write_csv) std::cout << "Full grids written to fig4_<workload>.csv\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

@@ -51,10 +51,7 @@ std::vector<std::string> quantile_row(const std::string& label,
           util::TextTable::num(cdf.max())};
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
+int bench_main(const util::ArgParser& args) {
   const std::uint32_t epochs =
       static_cast<std::uint32_t>(args.get_u64("epochs", 8));
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 1'000'000);
@@ -135,4 +132,10 @@ int main(int argc, char** argv) {
   }
   if (write_csv) std::cout << "Full curves written to fig5_<workload>.csv\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

@@ -51,10 +51,7 @@ double run_case(const tiering::EpochSeries& series, const std::string& policy,
   return tiering::evaluate_policy(*p, series, opt).overall;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
+int bench_main(const util::ArgParser& args) {
   const std::uint32_t epochs =
       static_cast<std::uint32_t>(args.get_u64("epochs", 10));
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 800'000);
@@ -186,4 +183,10 @@ int main(int argc, char** argv) {
   if (write_csv) std::cout << "Series written to fig6_hitrate.csv\n";
   if (telemetry) telemetry->export_final();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

@@ -185,10 +185,7 @@ void write_json(const std::string& path, const std::vector<Row>& rows) {
   os << "  ]\n}\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
+int bench_main(const util::ArgParser& args) {
   const std::uint64_t epochs = args.get_u64("epochs", 8);
   const std::uint64_t touches = args.get_u64("touches-per-page", 4);
   const std::uint64_t step_ops = args.get_u64("step-ops", 2'000'000);
@@ -219,4 +216,10 @@ int main(int argc, char** argv) {
   write_json(out_path, rows);
   std::cout << "\nwrote " << out_path << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

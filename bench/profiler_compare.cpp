@@ -74,10 +74,7 @@ double scaled(double time_scale, util::SimNs ns) {
   return static_cast<double>(ns) / time_scale;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
+int bench_main(const util::ArgParser& args) {
   const std::uint32_t epochs =
       static_cast<std::uint32_t>(args.get_u64("epochs", 6));
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 500'000);
@@ -228,4 +225,10 @@ int main(int argc, char** argv) {
                "AutoNUMA pays a fault per observation; Thermostat sees "
                "only its sampled fraction.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

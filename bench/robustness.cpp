@@ -213,11 +213,8 @@ int storm_main(const tmprof::util::ArgParser& args) {
   return (check && !storm_ok) ? 1 : 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(const tmprof::util::ArgParser& args) {
   using namespace tmprof;
-  const util::ArgParser args(argc, argv);
   if (args.get_bool("storm", false)) return storm_main(args);
   const std::uint32_t epochs =
       static_cast<std::uint32_t>(args.get_u64("epochs", 8));
@@ -342,4 +339,10 @@ int main(int argc, char** argv) {
   if (csv) std::cout << "Rows written to robustness.csv\n";
   if (telemetry) telemetry->export_final();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

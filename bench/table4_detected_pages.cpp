@@ -95,10 +95,7 @@ std::array<RateResult, 3> run_workload(const workloads::WorkloadSpec& spec,
   return results;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
+int bench_main(const util::ArgParser& args) {
   const std::uint32_t epochs =
       static_cast<std::uint32_t>(args.get_u64("epochs", 8));
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 1'000'000);
@@ -145,4 +142,10 @@ int main(int argc, char** argv) {
               << util::TextTable::fixed(sum_8x_gain / counted, 2) << "x\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

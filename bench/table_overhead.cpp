@@ -102,10 +102,7 @@ double timed_run(const workloads::WorkloadSpec& spec, std::uint32_t epochs,
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
+int bench_main(const util::ArgParser& args) {
   const std::uint32_t epochs =
       static_cast<std::uint32_t>(args.get_u64("epochs", 6));
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 800'000);
@@ -180,4 +177,10 @@ int main(int argc, char** argv) {
             << (within_budget ? "within" : "EXCEEDED") << '\n';
   if (exported) exported->export_final();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

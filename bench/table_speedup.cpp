@@ -36,9 +36,10 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(const tmprof::util::ArgParser& args) {
   using namespace tmprof;
-  const util::ArgParser args(argc, argv);
   const std::uint32_t epochs =
       static_cast<std::uint32_t>(args.get_u64("epochs", 10));
   const std::uint64_t ops_per_epoch = args.get_u64("ops-per-epoch", 600'000);
@@ -176,4 +177,10 @@ int main(int argc, char** argv) {
               << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

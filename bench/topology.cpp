@@ -46,10 +46,7 @@ std::string fills_label(const bench::ChainRun& run) {
   return label;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
+int bench_main(const util::ArgParser& args) {
   bench::ChainOptions base;
   base.epochs = static_cast<std::uint32_t>(args.get_u64("epochs", 8));
   base.ops_per_epoch = args.get_u64("ops-per-epoch", 500'000);
@@ -165,4 +162,10 @@ int main(int argc, char** argv) {
     std::cout << "check OK\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmprof::bench::run_main(argc, argv, bench_main);
 }

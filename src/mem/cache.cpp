@@ -21,41 +21,61 @@ CacheLevel::CacheLevel(std::uint64_t size_bytes, std::uint32_t ways)
   ways_storage_.resize(static_cast<std::size_t>(sets_) * ways_);
 }
 
-bool CacheLevel::access(PhysAddr paddr, bool is_store) {
-  const std::uint64_t line = line_of(paddr);
-  Way* base = &ways_storage_[set_of(line) * ways_];
+CacheLevel::WayIndex CacheLevel::scan(std::uint64_t line,
+                                      WayIndex& victim) const noexcept {
+  const WayIndex base = set_of(line) * ways_;
+  const Way* set = &ways_storage_[base];
+  std::uint32_t free_way = ways_;  // none seen yet
+  std::uint32_t lru_way = 0;
   for (std::uint32_t w = 0; w < ways_; ++w) {
-    Way& way = base[w];
-    if (way.valid && way.tag == line) {
-      way.lru = ++tick_;
-      way.dirty = way.dirty || is_store;
-      return true;
+    const Way& way = set[w];
+    if (!way.valid) {
+      if (free_way == ways_) free_way = w;
+      continue;
     }
+    if (way.tag == line) return base + w;
+    if (way.lru < set[lru_way].lru) lru_way = w;
   }
-  return false;
+  victim = base + (free_way != ways_ ? free_way : lru_way);
+  return kNoWay;
+}
+
+bool CacheLevel::probe(std::uint64_t line, bool is_store, WayIndex& victim) {
+  const WayIndex hit = scan(line, victim);
+  if (hit == kNoWay) return false;
+  Way& way = ways_storage_[hit];
+  way.lru = ++tick_;
+  way.dirty = way.dirty || is_store;
+  return true;
+}
+
+bool CacheLevel::peek(std::uint64_t line, WayIndex& victim) const {
+  return scan(line, victim) != kNoWay;
+}
+
+bool CacheLevel::install(WayIndex victim, std::uint64_t line,
+                         std::uint32_t owner) {
+  Way& way = ways_storage_[victim];
+  const bool evicted = way.valid;
+  if (evicted && way.dirty) ++dirty_evictions_;
+  way.tag = line;
+  way.valid = true;
+  way.dirty = false;
+  way.owner = owner;
+  way.lru = ++tick_;
+  return evicted;
+}
+
+bool CacheLevel::access(PhysAddr paddr, bool is_store) {
+  WayIndex victim = 0;
+  return probe(line_of(paddr), is_store, victim);
 }
 
 bool CacheLevel::fill(PhysAddr paddr, std::uint32_t owner) {
   const std::uint64_t line = line_of(paddr);
-  Way* base = &ways_storage_[set_of(line) * ways_];
-  Way* victim = &base[0];
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    Way& way = base[w];
-    if (way.valid && way.tag == line) return false;  // already resident
-    if (!way.valid) {
-      victim = &way;
-      break;
-    }
-    if (way.lru < victim->lru) victim = &way;
-  }
-  const bool evicted = victim->valid;
-  if (evicted && victim->dirty) ++dirty_evictions_;
-  victim->tag = line;
-  victim->valid = true;
-  victim->dirty = false;
-  victim->owner = owner;
-  victim->lru = ++tick_;
-  return evicted;
+  WayIndex victim = 0;
+  if (peek(line, victim)) return false;  // already resident
+  return install(victim, line, owner);
 }
 
 std::uint64_t CacheLevel::occupancy_lines(std::uint32_t owner) const {
@@ -67,12 +87,8 @@ std::uint64_t CacheLevel::occupancy_lines(std::uint32_t owner) const {
 }
 
 bool CacheLevel::contains(PhysAddr paddr) const {
-  const std::uint64_t line = line_of(paddr);
-  const Way* base = &ways_storage_[set_of(line) * ways_];
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (base[w].valid && base[w].tag == line) return true;
-  }
-  return false;
+  WayIndex victim = 0;
+  return peek(line_of(paddr), victim);
 }
 
 void CacheLevel::flush() {
@@ -96,38 +112,45 @@ CacheHierarchy CacheHierarchy::make_default(CacheLevel* llc,
 
 CacheAccess CacheHierarchy::access(PhysAddr paddr, bool is_store,
                                    std::uint32_t owner) {
+  // One probe per level; a miss leaves that level's victim way, which the
+  // fills below install into (no level changes between probe and install).
   CacheAccess result;
-  if (l1_.access(paddr, is_store)) {
+  const std::uint64_t line = line_of(paddr);
+  CacheLevel::WayIndex l1_victim = 0;
+  CacheLevel::WayIndex l2_victim = 0;
+  CacheLevel::WayIndex llc_victim = 0;
+  if (l1_.probe(line, is_store, l1_victim)) {
     result.source = DataSource::L1;
     return result;
   }
-  if (l2_.access(paddr, is_store)) {
-    l1_.fill(paddr);
+  if (l2_.probe(line, is_store, l2_victim)) {
+    l1_.install(l1_victim, line);
     result.source = DataSource::L2;
     return result;
   }
-  if (llc_->access(paddr, is_store)) {
-    l2_.fill(paddr);
-    l1_.fill(paddr);
+  if (llc_->probe(line, is_store, llc_victim)) {
+    l2_.install(l2_victim, line);
+    l1_.install(l1_victim, line);
     result.source = DataSource::LLC;
     return result;
   }
   // Demand miss all the way to memory: fill every level.
   result.llc_miss = true;
   result.source = DataSource::MemTier1;  // caller refines the tier
-  llc_->fill(paddr, owner);
-  l2_.fill(paddr);
-  l1_.fill(paddr);
+  llc_->install(llc_victim, line, owner);
+  l2_.install(l2_victim, line);
+  l1_.install(l1_victim, line);
   if (prefetch_) {
     // Sequential next-line prefetch into the LLC. Only trigger on a
     // different demand line than last time to avoid self-feeding on
-    // repeated misses to one line.
-    const std::uint64_t line = line_of(paddr);
+    // repeated misses to one line. The peek runs after the demand install
+    // (the next line may share its set) and leaves a resident line's
+    // recency alone.
     if (line != last_demand_line_) {
       last_demand_line_ = line;
-      const PhysAddr next = paddr + kLineSize;
-      if (!llc_->contains(next)) {
-        llc_->fill(next, owner);  // prefetches bill the triggering RMID
+      const std::uint64_t next = line + 1;
+      if (!llc_->peek(next, llc_victim)) {
+        llc_->install(llc_victim, next, owner);  // bills the triggering RMID
         ++prefetch_fills_;
         result.prefetch_issued = true;
       }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "mem/addr.hpp"
+#include "util/cache_line.hpp"
 
 namespace tmprof::util::ckpt {
 class Reader;
@@ -36,20 +37,40 @@ enum class DataSource : std::uint8_t { L1, L2, LLC, MemTier1, MemTier2 };
 }
 
 /// One set-associative, write-allocate cache level with LRU replacement.
-/// Tags are physical line addresses.
-class CacheLevel {
+/// Tags are physical line addresses. Each level is written on every access
+/// that reaches it, so it starts its own host cache line: the sharded
+/// engine's per-core LLC slices never share one.
+class alignas(util::kCacheLine) CacheLevel {
  public:
+  /// A way's position in the level (set * ways + way), as found by a probe.
+  using WayIndex = std::size_t;
+
   CacheLevel(std::uint64_t size_bytes, std::uint32_t ways);
 
-  /// True if the line holding `paddr` is resident (updates LRU).
+  /// One scan of `line`'s set. A hit updates LRU and dirty state and
+  /// returns true. A miss returns false and sets `victim` to the way a fill
+  /// takes: the first invalid way, else the first least-recently-used one.
+  bool probe(std::uint64_t line, bool is_store, WayIndex& victim);
+
+  /// As probe, but a hit leaves LRU and dirty state untouched (prefetches
+  /// must not refresh a line's recency).
+  [[nodiscard]] bool peek(std::uint64_t line, WayIndex& victim) const;
+
+  /// Install `line` into the `victim` a missing probe/peek returned, with
+  /// no change to this level in between. Returns true if a valid line was
+  /// evicted. `owner` tags the line with an RMID-like id
+  /// (resource-monitoring support, cf. Intel CMT / AMD QoS); 0 = untracked.
+  bool install(WayIndex victim, std::uint64_t line, std::uint32_t owner = 0);
+
+  /// True if the line holding `paddr` is resident (updates LRU). Probe
+  /// wrapper for tests and single-level users.
   bool access(PhysAddr paddr, bool is_store);
 
-  /// Install the line; returns true if a valid line was evicted.
-  /// `owner` tags the line with an RMID-like id (resource-monitoring
-  /// support, cf. Intel CMT / AMD QoS); 0 = untracked.
+  /// Install the line unless resident; returns true if a valid line was
+  /// evicted. Peek + install wrapper.
   bool fill(PhysAddr paddr, std::uint32_t owner = 0);
 
-  /// Is the line present (no LRU update)? Used by tests and the prefetcher.
+  /// Is the line present (no LRU update)? Peek wrapper.
   [[nodiscard]] bool contains(PhysAddr paddr) const;
 
   /// Resident lines tagged with `owner` (cache-occupancy monitoring).
@@ -84,12 +105,20 @@ class CacheLevel {
     return static_cast<std::size_t>(line & (sets_ - 1));
   }
 
+  static constexpr WayIndex kNoWay = ~WayIndex{0};
+
+  /// The one set scan every lookup goes through: the way holding `line`,
+  /// or kNoWay with `victim` set to the way a fill would take.
+  [[nodiscard]] WayIndex scan(std::uint64_t line,
+                              WayIndex& victim) const noexcept;
+
   std::uint32_t sets_;
   std::uint32_t ways_;
   std::uint64_t tick_ = 0;
   std::uint64_t dirty_evictions_ = 0;
   std::vector<Way> ways_storage_;
 };
+static_assert(alignof(CacheLevel) == util::kCacheLine);
 
 /// Result of a full hierarchy access.
 struct CacheAccess {
@@ -128,6 +157,9 @@ class CacheHierarchy {
   [[nodiscard]] std::uint64_t prefetch_fills() const noexcept {
     return prefetch_fills_;
   }
+  /// The private levels (read-only, for occupancy and eviction checks).
+  [[nodiscard]] const CacheLevel& l1() const noexcept { return l1_; }
+  [[nodiscard]] const CacheLevel& l2() const noexcept { return l2_; }
 
  private:
   CacheLevel l1_;

@@ -11,8 +11,7 @@ IbsMonitor::IbsMonitor(const IbsConfig& config, std::uint32_t cores,
     : config_(config),
       rng_(seed),
       seed_(seed),
-      countdown_(cores),
-      tag_armed_(cores, 0) {
+      lanes_(cores) {
   TMPROF_EXPECTS(config.sample_period >= 16);
   TMPROF_EXPECTS(config.buffer_capacity >= 1);
   TMPROF_EXPECTS(cores >= 1);
@@ -23,7 +22,6 @@ IbsMonitor::IbsMonitor(const IbsConfig& config, std::uint32_t cores,
 void IbsMonitor::enable_sharded() {
   if (sharded_) return;
   sharded_ = true;
-  lanes_.resize(countdown_.size());
   for (std::uint32_t c = 0; c < lanes_.size(); ++c) {
     // Independent, reproducible per-core tag-randomization streams.
     std::uint64_t mix = seed_ ^ (0x9e3779b97f4a7c15ULL * (c + 1));
@@ -43,36 +41,38 @@ void IbsMonitor::reload(std::uint32_t core) {
               static_cast<std::int64_t>(jitter_span / 2);
     if (period < 1) period = 1;
   }
-  countdown_[core] = period;
+  lanes_[core].countdown = period;
 }
 
 void IbsMonitor::on_retire(std::uint32_t core, std::uint64_t uops,
                            util::SimNs now) {
   (void)now;
-  TMPROF_ASSERT(core < countdown_.size());
-  countdown_[core] -= static_cast<std::int64_t>(uops);
-  if (countdown_[core] > 0) return;
+  TMPROF_ASSERT(core < lanes_.size());
+  CoreLane& lane = lanes_[core];
+  lane.countdown -= static_cast<std::int64_t>(uops);
+  if (lane.countdown > 0) return;
   reload(core);
-  std::uint64_t& tags_lost = sharded_ ? lanes_[core].tags_lost : tags_lost_;
-  if (tag_armed_[core]) {
+  std::uint64_t& tags_lost = sharded_ ? lane.tags_lost : tags_lost_;
+  if (lane.tag_armed) {
     // Previous tag never matched a memory op before the next fired: lost.
     ++tags_lost;
   }
   // The tagged uop is one of the `uops` just retired. Only one of them is
   // the memory micro-op the upcoming on_mem_op() call describes, so arm the
   // tag with probability 1/uops; otherwise the tag hit a non-memory uop.
-  util::Rng& rng = sharded_ ? lanes_[core].rng : rng_;
+  util::Rng& rng = sharded_ ? lane.rng : rng_;
   if (uops <= 1 || rng.below(uops) == 0) {
-    tag_armed_[core] = 1;
+    lane.tag_armed = true;
   } else {
     ++tags_lost;
   }
 }
 
 void IbsMonitor::on_mem_op(const MemOpEvent& event) {
-  TMPROF_ASSERT(event.core < tag_armed_.size());
-  if (!tag_armed_[event.core]) return;
-  tag_armed_[event.core] = 0;
+  TMPROF_ASSERT(event.core < lanes_.size());
+  CoreLane& lane = lanes_[event.core];
+  if (!lane.tag_armed) return;
+  lane.tag_armed = false;
   TraceSample sample;
   sample.time = event.time;
   sample.core = event.core;
@@ -84,7 +84,6 @@ void IbsMonitor::on_mem_op(const MemOpEvent& event) {
   sample.source = event.source;
   sample.tlb_miss = event.tlb == mem::TlbHit::Miss;
   if (sharded_) {
-    CoreLane& lane = lanes_[event.core];
     ++lane.samples;
     lane.buffer.push_back(sample);
     // The PMI fires per buffer threshold; the handler cost is charged, but
@@ -144,23 +143,26 @@ util::SimNs IbsMonitor::overhead_ns() const noexcept {
 
 void IbsMonitor::save_state(util::ckpt::Writer& w) const {
   util::ckpt::save_rng(w, rng_);
-  w.put_u32(static_cast<std::uint32_t>(countdown_.size()));
-  for (const std::int64_t c : countdown_) w.put_i64(c);
-  for (const std::uint8_t armed : tag_armed_) w.put_u8(armed);
+  w.put_u32(static_cast<std::uint32_t>(lanes_.size()));
+  for (const CoreLane& lane : lanes_) w.put_i64(lane.countdown);
+  for (const CoreLane& lane : lanes_) w.put_u8(lane.tag_armed ? 1 : 0);
   w.put_u64(buffer_.size());
   for (const TraceSample& s : buffer_) save_sample(w, s);
   w.put_u64(samples_taken_);
   w.put_u64(tags_lost_);
   w.put_u64(interrupts_);
   w.put_bool(sharded_);
-  w.put_u32(static_cast<std::uint32_t>(lanes_.size()));
-  for (const CoreLane& lane : lanes_) {
-    util::ckpt::save_rng(w, lane.rng);
-    w.put_u64(lane.buffer.size());
-    for (const TraceSample& s : lane.buffer) save_sample(w, s);
-    w.put_u64(lane.samples);
-    w.put_u64(lane.tags_lost);
-    w.put_u64(lane.interrupts);
+  // The sharded-mode lane fields follow only in sharded mode.
+  w.put_u32(sharded_ ? static_cast<std::uint32_t>(lanes_.size()) : 0);
+  if (sharded_) {
+    for (const CoreLane& lane : lanes_) {
+      util::ckpt::save_rng(w, lane.rng);
+      w.put_u64(lane.buffer.size());
+      for (const TraceSample& s : lane.buffer) save_sample(w, s);
+      w.put_u64(lane.samples);
+      w.put_u64(lane.tags_lost);
+      w.put_u64(lane.interrupts);
+    }
   }
   // Retired streaming-transport flag, kept so the format is unchanged.
   w.put_bool(false);
@@ -169,11 +171,13 @@ void IbsMonitor::save_state(util::ckpt::Writer& w) const {
 void IbsMonitor::load_state(util::ckpt::Reader& r) {
   util::ckpt::load_rng(r, rng_);
   const std::uint32_t cores = r.get_u32();
-  if (cores != countdown_.size()) {
+  if (cores != lanes_.size()) {
     throw util::ckpt::CkptError("ibs", "core count mismatch");
   }
-  for (std::int64_t& c : countdown_) c = r.get_i64();
-  for (std::uint8_t& armed : tag_armed_) armed = r.get_u8();
+  // Applied after the mode switch below, which re-arms every countdown.
+  std::vector<std::int64_t> countdowns(cores);
+  for (std::int64_t& c : countdowns) c = r.get_i64();
+  for (CoreLane& lane : lanes_) lane.tag_armed = r.get_u8() != 0;
   buffer_.resize(r.get_count(kSampleBytes));
   for (TraceSample& s : buffer_) s = load_sample(r);
   samples_taken_ = r.get_u64();
@@ -184,17 +188,22 @@ void IbsMonitor::load_state(util::ckpt::Reader& r) {
   if (sharded != sharded_) {
     throw util::ckpt::CkptError("ibs", "sharded-mode mismatch");
   }
+  for (std::uint32_t c = 0; c < cores; ++c) {
+    lanes_[c].countdown = countdowns[c];
+  }
   const std::uint32_t lanes = r.get_u32();
-  if (lanes != lanes_.size()) {
+  if (lanes != (sharded_ ? lanes_.size() : 0)) {
     throw util::ckpt::CkptError("ibs", "lane count mismatch");
   }
-  for (CoreLane& lane : lanes_) {
-    util::ckpt::load_rng(r, lane.rng);
-    lane.buffer.resize(r.get_count(kSampleBytes));
-    for (TraceSample& s : lane.buffer) s = load_sample(r);
-    lane.samples = r.get_u64();
-    lane.tags_lost = r.get_u64();
-    lane.interrupts = r.get_u64();
+  if (sharded_) {
+    for (CoreLane& lane : lanes_) {
+      util::ckpt::load_rng(r, lane.rng);
+      lane.buffer.resize(r.get_count(kSampleBytes));
+      for (TraceSample& s : lane.buffer) s = load_sample(r);
+      lane.samples = r.get_u64();
+      lane.tags_lost = r.get_u64();
+      lane.interrupts = r.get_u64();
+    }
   }
   if (r.get_bool()) {
     // Written by a build with the streaming transport, which no longer

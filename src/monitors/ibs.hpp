@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "monitors/event.hpp"
+#include "util/cache_line.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -88,16 +89,21 @@ class IbsMonitor final : public AccessObserver {
   void load_state(util::ckpt::Reader& r);
 
  private:
-  /// Per-core state that a shard's worker thread owns exclusively in
-  /// sharded mode (padded out by vector element separation; no two cores
-  /// write the same element).
-  struct CoreLane {
+  /// Per-core state. The tag countdown and armed flag are written on every
+  /// retired op, and in sharded mode the core's worker thread owns the
+  /// whole lane, so each lane starts its own host cache line and no two
+  /// cores ever write one line.
+  struct alignas(util::kCacheLine) CoreLane {
+    std::int64_t countdown = 0;
+    bool tag_armed = false;  ///< tag waiting for this core's next mem op
+    // Sharded mode only:
     util::Rng rng{0};
     std::vector<TraceSample> buffer;
     std::uint64_t samples = 0;
     std::uint64_t tags_lost = 0;
     std::uint64_t interrupts = 0;
   };
+  static_assert(alignof(CoreLane) == util::kCacheLine);
 
   void reload(std::uint32_t core);
 
@@ -105,14 +111,12 @@ class IbsMonitor final : public AccessObserver {
   DrainFn drain_;
   util::Rng rng_;
   std::uint64_t seed_;
-  std::vector<std::int64_t> countdown_;   ///< per core
-  std::vector<std::uint8_t> tag_armed_;   ///< tag waiting for this core's op
   std::vector<TraceSample> buffer_;
   std::uint64_t samples_taken_ = 0;
   std::uint64_t tags_lost_ = 0;
   std::uint64_t interrupts_ = 0;
   bool sharded_ = false;
-  std::vector<CoreLane> lanes_;           ///< populated in sharded mode
+  std::vector<CoreLane> lanes_;  ///< one per core
 };
 
 }  // namespace tmprof::monitors

@@ -7,7 +7,7 @@
 namespace tmprof::monitors {
 
 PebsMonitor::PebsMonitor(const PebsConfig& config, std::uint32_t cores)
-    : config_(config), counter_(cores, 0) {
+    : config_(config), lanes_(cores) {
   TMPROF_EXPECTS(config.sample_after >= 1);
   TMPROF_EXPECTS(config.buffer_capacity >= 1);
   TMPROF_EXPECTS(cores >= 1);
@@ -17,7 +17,6 @@ PebsMonitor::PebsMonitor(const PebsConfig& config, std::uint32_t cores)
 void PebsMonitor::enable_sharded() {
   if (sharded_) return;
   sharded_ = true;
-  lanes_.resize(counter_.size());
   for (CoreLane& lane : lanes_) lane.buffer.reserve(config_.buffer_capacity);
 }
 
@@ -38,14 +37,15 @@ bool PebsMonitor::qualifies(const MemOpEvent& event) const noexcept {
 
 void PebsMonitor::on_mem_op(const MemOpEvent& event) {
   if (!qualifies(event)) return;
-  TMPROF_ASSERT(event.core < counter_.size());
+  TMPROF_ASSERT(event.core < lanes_.size());
+  CoreLane& lane = lanes_[event.core];
   if (sharded_) {
-    ++lanes_[event.core].events;
+    ++lane.events;
   } else {
     ++events_seen_;
   }
-  if (++counter_[event.core] < config_.sample_after) return;
-  counter_[event.core] = 0;
+  if (++lane.counter < config_.sample_after) return;
+  lane.counter = 0;
   TraceSample sample;
   sample.time = event.time;
   sample.core = event.core;
@@ -57,7 +57,6 @@ void PebsMonitor::on_mem_op(const MemOpEvent& event) {
   sample.source = event.source;
   sample.tlb_miss = event.tlb == mem::TlbHit::Miss;
   if (sharded_) {
-    CoreLane& lane = lanes_[event.core];
     ++lane.samples;
     lane.buffer.push_back(sample);
     if (lane.buffer.size() % config_.buffer_capacity == 0) ++lane.interrupts;
@@ -113,21 +112,24 @@ util::SimNs PebsMonitor::overhead_ns() const noexcept {
 // Checkpoint hooks
 
 void PebsMonitor::save_state(util::ckpt::Writer& w) const {
-  w.put_u32(static_cast<std::uint32_t>(counter_.size()));
-  for (const std::uint64_t c : counter_) w.put_u64(c);
+  w.put_u32(static_cast<std::uint32_t>(lanes_.size()));
+  for (const CoreLane& lane : lanes_) w.put_u64(lane.counter);
   w.put_u64(buffer_.size());
   for (const TraceSample& s : buffer_) save_sample(w, s);
   w.put_u64(samples_taken_);
   w.put_u64(events_seen_);
   w.put_u64(interrupts_);
   w.put_bool(sharded_);
-  w.put_u32(static_cast<std::uint32_t>(lanes_.size()));
-  for (const CoreLane& lane : lanes_) {
-    w.put_u64(lane.buffer.size());
-    for (const TraceSample& s : lane.buffer) save_sample(w, s);
-    w.put_u64(lane.samples);
-    w.put_u64(lane.events);
-    w.put_u64(lane.interrupts);
+  // The sharded-mode lane fields follow only in sharded mode.
+  w.put_u32(sharded_ ? static_cast<std::uint32_t>(lanes_.size()) : 0);
+  if (sharded_) {
+    for (const CoreLane& lane : lanes_) {
+      w.put_u64(lane.buffer.size());
+      for (const TraceSample& s : lane.buffer) save_sample(w, s);
+      w.put_u64(lane.samples);
+      w.put_u64(lane.events);
+      w.put_u64(lane.interrupts);
+    }
   }
   // Retired streaming-transport flag, kept so the format is unchanged.
   w.put_bool(false);
@@ -135,10 +137,10 @@ void PebsMonitor::save_state(util::ckpt::Writer& w) const {
 
 void PebsMonitor::load_state(util::ckpt::Reader& r) {
   const std::uint32_t cores = r.get_u32();
-  if (cores != counter_.size()) {
+  if (cores != lanes_.size()) {
     throw util::ckpt::CkptError("pebs", "core count mismatch");
   }
-  for (std::uint64_t& c : counter_) c = r.get_u64();
+  for (CoreLane& lane : lanes_) lane.counter = r.get_u64();
   buffer_.resize(r.get_count(kSampleBytes));
   for (TraceSample& s : buffer_) s = load_sample(r);
   samples_taken_ = r.get_u64();
@@ -150,15 +152,17 @@ void PebsMonitor::load_state(util::ckpt::Reader& r) {
     throw util::ckpt::CkptError("pebs", "sharded-mode mismatch");
   }
   const std::uint32_t lanes = r.get_u32();
-  if (lanes != lanes_.size()) {
+  if (lanes != (sharded_ ? lanes_.size() : 0)) {
     throw util::ckpt::CkptError("pebs", "lane count mismatch");
   }
-  for (CoreLane& lane : lanes_) {
-    lane.buffer.resize(r.get_count(kSampleBytes));
-    for (TraceSample& s : lane.buffer) s = load_sample(r);
-    lane.samples = r.get_u64();
-    lane.events = r.get_u64();
-    lane.interrupts = r.get_u64();
+  if (sharded_) {
+    for (CoreLane& lane : lanes_) {
+      lane.buffer.resize(r.get_count(kSampleBytes));
+      for (TraceSample& s : lane.buffer) s = load_sample(r);
+      lane.samples = r.get_u64();
+      lane.events = r.get_u64();
+      lane.interrupts = r.get_u64();
+    }
   }
   if (r.get_bool()) {
     // Written by a build with the streaming transport, which no longer

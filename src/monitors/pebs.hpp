@@ -12,6 +12,7 @@
 
 #include "mem/cache.hpp"
 #include "monitors/event.hpp"
+#include "util/cache_line.hpp"
 #include "util/time.hpp"
 
 namespace tmprof::monitors {
@@ -72,24 +73,29 @@ class PebsMonitor final : public AccessObserver {
   void load_state(util::ckpt::Reader& r);
 
  private:
-  struct CoreLane {
+  /// Per-core state. The qualifying-event counter is written on every
+  /// qualifying op, and in sharded mode the core's worker thread owns the
+  /// whole lane, so each lane starts its own host cache line.
+  struct alignas(util::kCacheLine) CoreLane {
+    std::uint64_t counter = 0;  ///< qualifying events since the last sample
+    // Sharded mode only:
     std::vector<TraceSample> buffer;
     std::uint64_t samples = 0;
     std::uint64_t events = 0;
     std::uint64_t interrupts = 0;
   };
+  static_assert(alignof(CoreLane) == util::kCacheLine);
 
   [[nodiscard]] bool qualifies(const MemOpEvent& event) const noexcept;
 
   PebsConfig config_;
   DrainFn drain_;
-  std::vector<std::uint64_t> counter_;  ///< per-core qualifying-event count
   std::vector<TraceSample> buffer_;
   std::uint64_t samples_taken_ = 0;
   std::uint64_t events_seen_ = 0;
   std::uint64_t interrupts_ = 0;
   bool sharded_ = false;
-  std::vector<CoreLane> lanes_;         ///< populated in sharded mode
+  std::vector<CoreLane> lanes_;  ///< one per core
 };
 
 }  // namespace tmprof::monitors

@@ -8,13 +8,18 @@ namespace tmprof::pmu {
 PmuCore::PmuCore(std::uint32_t programmable_registers)
     : registers_(programmable_registers) {
   TMPROF_EXPECTS(programmable_registers >= 1);
+  slot_.fill(kNoSlot);
 }
 
 void PmuCore::program(std::vector<Event> events) {
   programmed_.clear();
   programmed_.reserve(events.size());
+  slot_.fill(kNoSlot);
   for (Event e : events) {
-    TMPROF_EXPECTS(find(e) == nullptr);  // no duplicate programming
+    // No duplicate programming.
+    TMPROF_EXPECTS(slot_[static_cast<std::size_t>(e)] == kNoSlot);
+    slot_[static_cast<std::size_t>(e)] =
+        static_cast<std::uint8_t>(programmed_.size());
     Observation obs;
     obs.event = e;
     programmed_.push_back(obs);
@@ -27,34 +32,15 @@ void PmuCore::program(std::vector<Event> events) {
   for (std::size_t i = 0; i < live_n; ++i) programmed_[i].live = true;
 }
 
-PmuCore::Observation* PmuCore::find(Event e) {
-  for (auto& obs : programmed_) {
-    if (obs.event == e) return &obs;
-  }
-  return nullptr;
-}
-
-const PmuCore::Observation* PmuCore::find(Event e) const {
-  for (const auto& obs : programmed_) {
-    if (obs.event == e) return &obs;
-  }
-  return nullptr;
-}
-
-void PmuCore::record(Event e, util::SimNs now, std::uint64_t n) {
-  tick(now);
-  at(true_, e) += n;
-  if (Observation* obs = find(e); obs != nullptr && obs->live) {
-    obs->raw += n;
-  }
-}
-
-void PmuCore::tick(util::SimNs now) {
-  if (now < last_now_) return;  // out-of-order hook; ignore
-  last_now_ = now;
-  if (!multiplexing()) return;
-  while (now - slice_start_ >= kSliceNs) {
-    rotate(slice_start_ + kSliceNs);
+void PmuCore::index_slots() {
+  slot_.fill(kNoSlot);
+  for (std::size_t i = 0; i < programmed_.size(); ++i) {
+    const auto e = static_cast<std::size_t>(programmed_[i].event);
+    if (slot_[e] != kNoSlot) {
+      throw util::ckpt::CkptError(
+          "pmu", "event " + std::to_string(e) + " programmed twice");
+    }
+    slot_[e] = static_cast<std::uint8_t>(i);
   }
 }
 
@@ -78,8 +64,9 @@ void PmuCore::rotate(util::SimNs slice_end) {
 }
 
 std::uint64_t PmuCore::read(Event e) const {
-  const Observation* obs = find(e);
-  if (obs == nullptr) return 0;
+  const std::uint8_t slot = slot_[static_cast<std::size_t>(e)];
+  if (slot == kNoSlot) return 0;
+  const Observation* obs = &programmed_[slot];
   if (!multiplexing()) return obs->raw;
   // Scale by the fraction of wall time the event was actually counting.
   util::SimNs live = obs->live_ns;
@@ -161,6 +148,7 @@ void PmuCore::load_state(util::ckpt::Reader& r) {
   slice_start_ = r.get_u64();
   observe_start_ = r.get_u64();
   last_now_ = r.get_u64();
+  index_slots();
 }
 
 void Pmu::save_state(util::ckpt::Writer& w) const {

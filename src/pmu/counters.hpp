@@ -7,11 +7,13 @@
 /// for a slice and its count is scaled by observed/live time — exactly the
 /// verbosity loss Table I lists as the HWPC disadvantage.
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "pmu/events.hpp"
 #include "telemetry/metrics.hpp"
+#include "util/cache_line.hpp"
 #include "util/time.hpp"
 
 namespace tmprof::util::ckpt {
@@ -21,15 +23,21 @@ class Writer;
 
 namespace tmprof::pmu {
 
-/// One core's PMU.
-class PmuCore {
+/// One core's PMU. Written on every simulated op by the core's shard, so
+/// each PmuCore starts its own host cache line.
+class alignas(util::kCacheLine) PmuCore {
  public:
   /// \param programmable_registers  simultaneously countable events
   ///        (6 on the paper's Zen 2 part).
   explicit PmuCore(std::uint32_t programmable_registers = 6);
 
   /// Hardware side: record `n` occurrences of `e` at sim time `now`.
-  void record(Event e, util::SimNs now, std::uint64_t n = 1);
+  void record(Event e, util::SimNs now, std::uint64_t n = 1) {
+    tick(now);
+    at(true_, e) += n;
+    const std::uint8_t slot = slot_[static_cast<std::size_t>(e)];
+    if (slot != kNoSlot && programmed_[slot].live) programmed_[slot].raw += n;
+  }
 
   /// Software side: program the set of events to observe. Re-programming
   /// resets observation state but not the true counts.
@@ -37,7 +45,12 @@ class PmuCore {
 
   /// Advance the multiplexing rotation to `now`. Called by the system clock;
   /// harmless to call often.
-  void tick(util::SimNs now);
+  void tick(util::SimNs now) {
+    if (now < last_now_) return;  // out-of-order hook; ignore
+    last_now_ = now;
+    if (!multiplexing()) return;
+    while (now - slice_start_ >= kSliceNs) rotate(slice_start_ + kSliceNs);
+  }
 
   /// Observed (possibly multiplex-scaled) estimate of an event's count.
   /// Events that were never programmed read as 0 — software is blind to
@@ -70,13 +83,21 @@ class PmuCore {
     bool live = false;
   };
 
+  /// Slot-table entry of an event that is not programmed.
+  static constexpr std::uint8_t kNoSlot = 0xff;
+
   void rotate(util::SimNs now);
-  [[nodiscard]] Observation* find(Event e);
-  [[nodiscard]] const Observation* find(Event e) const;
+  /// Rebuild `slot_` from `programmed_`; throws CkptError("pmu") if an
+  /// event is programmed twice (a checkpoint can claim that; program()
+  /// refuses it up front).
+  void index_slots();
 
   std::uint32_t registers_;
   EventCounts true_{};
   std::vector<Observation> programmed_;
+  /// Event → index into `programmed_` (kNoSlot if not programmed), so
+  /// record() finds an event's observation without a search.
+  std::array<std::uint8_t, kEventCount> slot_;
   std::size_t rotation_head_ = 0;   ///< first live observation index
   util::SimNs slice_start_ = 0;
   util::SimNs observe_start_ = 0;   ///< when program() was last called
@@ -114,5 +135,6 @@ class Pmu {
   std::vector<PmuCore> cores_;
   telemetry::Counter reads_;
 };
+static_assert(alignof(PmuCore) == util::kCacheLine);
 
 }  // namespace tmprof::pmu

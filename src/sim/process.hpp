@@ -12,6 +12,7 @@
 #include "mem/addr.hpp"
 #include "mem/page_table.hpp"
 #include "mem/tiers.hpp"
+#include "util/cache_line.hpp"
 #include "workloads/workload.hpp"
 
 namespace tmprof::util::ckpt {
@@ -21,7 +22,10 @@ class Writer;
 
 namespace tmprof::sim {
 
-class Process {
+/// Its accounting counters are written on every op by the shard of the
+/// core the process runs on, so each Process starts its own host cache
+/// line.
+class alignas(util::kCacheLine) Process {
  public:
   /// \param weight  scheduling weight (relative share of issued ops);
   ///                lets experiments create low-CPU background processes
@@ -92,5 +96,6 @@ class Process {
   std::uint64_t mem_fills_ = 0;
   std::array<std::uint64_t, mem::kMaxTiers> tier_fills_{};
 };
+static_assert(alignof(Process) == util::kCacheLine);
 
 }  // namespace tmprof::sim

@@ -3,6 +3,7 @@
 #include "util/ckpt.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <utility>
 
@@ -42,6 +43,11 @@ std::uint64_t pow2_floor(std::uint64_t v) {
 // modeled latency short of a major fault; the rest lands in overflow.
 constexpr std::uint64_t kLatencyHistHi = 4096;
 constexpr std::size_t kLatencyHistBuckets = 64;
+
+// Ops a worker runs on one core of a sharded step before it may switch
+// cores: about half a millisecond of host time, short enough to even out a
+// step's end across workers, long enough that claiming a core is noise.
+constexpr std::uint64_t kStepChunkOps = 4096;
 }  // namespace
 
 System::System(const SimConfig& config)
@@ -217,6 +223,11 @@ void System::rebuild_schedule() {
   }
   schedule_ = std::move(interleaved);
   schedule_cursor_ = 0;
+  core_slots_.assign(config_.cores, {});
+  for (std::uint32_t pos = 0; pos < schedule_.size(); ++pos) {
+    const mem::Pid pid = processes_[schedule_[pos]]->pid();
+    core_slots_[static_cast<std::uint32_t>(pid) % config_.cores].push_back(pos);
+  }
 }
 
 util::SimNs System::step(std::uint64_t ops) {
@@ -258,21 +269,45 @@ util::SimNs System::step_parallel(std::uint64_t ops, util::ThreadPool* pool) {
     if (needs_buffering) buffered.push_back(obs);
   }
 
-  struct Shard {
-    util::SimNs elapsed = 0;
+  // One core's work for this step. The step covers schedule positions
+  // [cursor, cursor + ops) (mod len); a core walks only its own slots among
+  // them, in position order, so its reference stream — and every output —
+  // is the same as a walk of every position that skips the other cores'
+  // slots. It depends only on the schedule, never on thread timing or on
+  // which worker runs which chunk. `remaining` is the one field another
+  // worker reads without holding `busy`; it only steers the choice of work.
+  // Each shard starts its own host cache line.
+  struct alignas(util::kCacheLine) Shard {
+    ExecContext ctx;
+    std::size_t next = 0;  ///< index into the core's slots
     std::uint64_t executed = 0;
     std::vector<std::pair<monitors::MemOpEvent, bool>> log;
+    std::atomic<std::uint64_t> remaining{0};
+    std::atomic<bool> busy{false};
   };
+  static_assert(alignof(Shard) == util::kCacheLine);
   std::vector<Shard> shards(n_cores);
   const std::size_t len = schedule_.size();
-
-  // Every shard scans the same `ops` schedule positions and executes only
-  // its own processes' slots, so the global op interleaving — and with it
-  // each shard's reference stream — is a pure function of the schedule,
-  // never of thread timing.
-  auto run_shard = [&](std::uint32_t s) {
+  const std::size_t cursor = schedule_cursor_;
+  const std::uint64_t laps = ops / len;
+  const std::size_t tail = static_cast<std::size_t>(ops % len);
+  for (std::uint32_t s = 0; s < n_cores; ++s) {
     Shard& shard = shards[s];
-    ExecContext ctx;
+    const std::vector<std::uint32_t>& slots = core_slots_[s];
+    const auto first_at_or_after = [&slots](std::size_t pos) {
+      return static_cast<std::size_t>(
+          std::lower_bound(slots.begin(), slots.end(), pos) - slots.begin());
+    };
+    const std::size_t first = first_at_or_after(cursor);
+    const std::size_t tail_slots =
+        cursor + tail <= len
+            ? first_at_or_after(cursor + tail) - first
+            : slots.size() - first + first_at_or_after(cursor + tail - len);
+    shard.remaining.store(laps * slots.size() + tail_slots,
+                          std::memory_order_relaxed);
+    shard.next = first == slots.size() ? 0 : first;
+
+    ExecContext& ctx = shard.ctx;
     ctx.core_idx = s;
     ctx.core = &cores_[s];
     ctx.pmu = &pmu_.core(s);
@@ -285,25 +320,72 @@ util::SimNs System::step_parallel(std::uint64_t ops, util::ThreadPool* pool) {
       ctx.ops = shard_ops_[s];
       ctx.latency = shard_latency_[s];
     }
-    std::size_t cursor = schedule_cursor_;
-    for (std::uint64_t i = 0; i < ops; ++i) {
-      const std::uint32_t proc_idx = schedule_[cursor];
-      cursor = cursor + 1 == len ? 0 : cursor + 1;
-      Process& proc = *processes_[proc_idx];
-      if (static_cast<std::uint32_t>(proc.pid()) % n_cores != s) continue;
+  }
+
+  // Run the next `n` ops of core `s`.
+  const auto run_ops = [&](std::uint32_t s, std::uint64_t n) {
+    Shard& shard = shards[s];
+    const std::vector<std::uint32_t>& slots = core_slots_[s];
+    std::size_t next = shard.next;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      Process& proc = *processes_[schedule_[slots[next]]];
+      next = next + 1 == slots.size() ? 0 : next + 1;
       const workloads::MemRef ref = proc.workload().next();
-      access_impl(proc, proc.vaddr_of(ref.offset), ref.is_store, ref.ip, ctx);
+      access_impl(proc, proc.vaddr_of(ref.offset), ref.is_store, ref.ip,
+                  shard.ctx);
     }
-    shard.elapsed = ctx.now - start;
+    shard.next = next;
   };
 
   if (pool != nullptr) {
-    for (std::uint32_t s = 0; s < n_cores; ++s) {
-      pool->submit(s, [&run_shard, s] { run_shard(s); });
+    // Workers hand cores to each other in chunks: a worker claims a free
+    // core, runs one chunk of its ops, and releases it. It prefers its own
+    // cores (core % workers), and among those the one with the most ops
+    // left, so its cores advance together; when none of its own is free it
+    // helps with another worker's. A core's chunks still run one at a time
+    // and in order, so outputs are unchanged, but the step no longer waits
+    // on whichever worker got the larger share of cores or the slower host
+    // CPU. The releasing worker always rescans, so no core is left behind.
+    const std::uint32_t n_workers = pool->size();
+    const auto work = [&](std::uint32_t w) {
+      for (;;) {
+        std::uint32_t pick = n_cores;
+        bool pick_own = false;
+        std::uint64_t pick_left = 0;
+        for (std::uint32_t s = 0; s < n_cores; ++s) {
+          const Shard& shard = shards[s];
+          const std::uint64_t left =
+              shard.remaining.load(std::memory_order_relaxed);
+          if (left == 0 || shard.busy.load(std::memory_order_relaxed)) {
+            continue;
+          }
+          const bool own = s % n_workers == w;
+          if (pick == n_cores || (own && !pick_own) ||
+              (own == pick_own && left > pick_left)) {
+            pick = s;
+            pick_own = own;
+            pick_left = left;
+          }
+        }
+        if (pick == n_cores) return;
+        Shard& shard = shards[pick];
+        if (shard.busy.exchange(true, std::memory_order_acquire)) continue;
+        const std::uint64_t left =
+            shard.remaining.load(std::memory_order_relaxed);
+        const std::uint64_t n = std::min(left, kStepChunkOps);
+        run_ops(pick, n);
+        shard.remaining.store(left - n, std::memory_order_relaxed);
+        shard.busy.store(false, std::memory_order_release);
+      }
+    };
+    for (std::uint32_t w = 0; w < n_workers; ++w) {
+      pool->submit(w, [&work, w] { work(w); });
     }
     pool->wait_idle();
   } else {
-    for (std::uint32_t s = 0; s < n_cores; ++s) run_shard(s);
+    for (std::uint32_t s = 0; s < n_cores; ++s) {
+      run_ops(s, shards[s].remaining.load(std::memory_order_relaxed));
+    }
   }
 
   // ---- epoch barrier: merge shard state in ascending core order ----------
@@ -320,14 +402,14 @@ util::SimNs System::step_parallel(std::uint64_t ops, util::ThreadPool* pool) {
   if (telemetry_ != nullptr) {
     telemetry_->metrics().merge_shards();
     for (std::uint32_t s = 0; s < n_cores; ++s) {
-      telemetry_->span("shard.step", start, start + shards[s].elapsed,
+      telemetry_->span("shard.step", start, shards[s].ctx.now,
                        telemetry::kTidShardBase + s);
     }
   }
 
   util::SimNs max_elapsed = 0;
   for (const Shard& shard : shards) {
-    max_elapsed = std::max(max_elapsed, shard.elapsed);
+    max_elapsed = std::max(max_elapsed, shard.ctx.now - start);
     total_ops_ += shard.executed;
   }
   schedule_cursor_ = (schedule_cursor_ + ops) % len;

@@ -19,6 +19,7 @@
 #include "sim/config.hpp"
 #include "sim/process.hpp"
 #include "telemetry/metrics.hpp"
+#include "util/cache_line.hpp"
 #include "util/time.hpp"
 
 namespace tmprof::util {
@@ -152,10 +153,13 @@ class System {
   static constexpr mem::VirtAddr kCodeBase = 0x400000;
 
  private:
-  struct Core {
+  /// One simulated core's private state; its shard writes it on every op,
+  /// so each Core starts its own host cache line.
+  struct alignas(util::kCacheLine) Core {
     mem::Tlb tlb;
     mem::CacheHierarchy caches;
   };
+  static_assert(alignof(Core) == util::kCacheLine);
 
   /// Everything one access needs that is per-shard in parallel mode: the
   /// serial engine binds it to the global clock and the full observer list,
@@ -209,6 +213,9 @@ class System {
   std::vector<telemetry::HistogramHandle> shard_latency_;
 
   std::vector<std::uint32_t> schedule_;  ///< weighted process indices
+  /// Per core: the ascending schedule positions whose process runs on that
+  /// core, so a sharded step walks only its own slots.
+  std::vector<std::vector<std::uint32_t>> core_slots_;
   std::size_t schedule_cursor_ = 0;
   util::SimNs now_ = 0;
   std::uint64_t total_ops_ = 0;

@@ -20,6 +20,7 @@
 #include "monitors/event.hpp"
 #include "sim/system.hpp"
 #include "tiering/policy.hpp"
+#include "util/cache_line.hpp"
 #include "util/ckpt.hpp"
 #include "workloads/registry.hpp"
 
@@ -61,13 +62,16 @@ class TruthCollector final : public monitors::AccessObserver {
   void load_state(util::ckpt::Reader& r);
 
  private:
-  struct Shard final : monitors::AccessObserver {
+  /// Written by its core's worker on every op, so each shard starts its
+  /// own host cache line.
+  struct alignas(util::kCacheLine) Shard final : monitors::AccessObserver {
     void on_mem_op(const monitors::MemOpEvent& event) override;
 
     core::HotnessTruth truth;
     core::PageHotnessSet seen;  ///< persists across epochs
     std::vector<std::pair<PageKey, mem::PageSize>> new_pages;
   };
+  static_assert(alignof(Shard) == util::kCacheLine);
 
   sim::System& system_;
   core::HotnessTruth truth_;

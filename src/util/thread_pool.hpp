@@ -2,10 +2,10 @@
 /// \file thread_pool.hpp
 /// Fixed-size worker pool with *sharded* FIFO queues: tasks submitted with
 /// the same shard key run on one worker in submission order, tasks with
-/// different keys run concurrently. The sharded access engine maps each
-/// simulated core to a shard, which keeps per-core simulation state
-/// single-writer without locks and makes results independent of how many
-/// OS threads actually execute the shards.
+/// different keys run concurrently. The sharded access engine submits one
+/// task per worker; the workers hand simulated cores to each other in
+/// chunks (System::step_parallel), so per-core state has one writer at a
+/// time and results are independent of how many OS threads run them.
 
 #include <cstdint>
 #include <condition_variable>

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
@@ -204,6 +205,144 @@ TEST(CacheFuzz, MatchesExactLruModel) {
     if (cache.contains(line * mem::kLineSize)) ++contained;
   }
   EXPECT_EQ(contained, resident);
+}
+
+/// List-LRU reference for one cache level: per set, resident lines from
+/// least to most recently used.
+class RefCacheLevel {
+ public:
+  RefCacheLevel(std::uint64_t sets, std::size_t ways)
+      : sets_(sets), ways_(ways) {}
+
+  bool access(std::uint64_t line, bool is_store) {
+    auto& set = set_of(line);
+    const auto it = find(set, line);
+    if (it == set.end()) return false;
+    Line hit = *it;
+    hit.dirty = hit.dirty || is_store;
+    set.erase(it);
+    set.push_back(hit);
+    return true;
+  }
+
+  void fill(std::uint64_t line, std::uint32_t owner) {
+    auto& set = set_of(line);
+    if (find(set, line) != set.end()) return;
+    if (set.size() == ways_) {
+      if (set.front().dirty) ++dirty_evictions;
+      set.erase(set.begin());
+    }
+    set.push_back(Line{line, owner, false});
+  }
+
+  [[nodiscard]] bool contains(std::uint64_t line) {
+    auto& set = set_of(line);
+    return find(set, line) != set.end();
+  }
+
+  [[nodiscard]] std::uint64_t occupancy(std::uint32_t owner) const {
+    std::uint64_t n = 0;
+    for (const auto& [index, set] : sets_by_index_) {
+      for (const Line& l : set) n += l.owner == owner ? 1 : 0;
+    }
+    return n;
+  }
+
+  std::uint64_t dirty_evictions = 0;
+
+ private:
+  struct Line {
+    std::uint64_t line;
+    std::uint32_t owner;
+    bool dirty;
+  };
+  static std::vector<Line>::iterator find(std::vector<Line>& set,
+                                          std::uint64_t line) {
+    return std::find_if(set.begin(), set.end(),
+                        [line](const Line& l) { return l.line == line; });
+  }
+  std::vector<Line>& set_of(std::uint64_t line) {
+    return sets_by_index_[line % sets_];
+  }
+
+  std::uint64_t sets_;
+  std::size_t ways_;
+  std::map<std::uint64_t, std::vector<Line>> sets_by_index_;
+};
+
+/// CacheHierarchy (one probe per level, installs into the probed victims)
+/// against the per-level semantics it replaced: access each level in turn,
+/// fill the missed levels, and prefetch the next line with contains + fill.
+TEST(CacheFuzz, HierarchyMatchesAccessThenFillModel) {
+  util::Rng rng(2024);
+  constexpr std::uint64_t kLlcSets = 16;
+  mem::CacheLevel llc(mem::kLineSize * kLlcSets * 4, 4);
+  mem::CacheHierarchy caches(mem::kLineSize * 4 * 2, 2,   // L1: 4 sets x 2
+                             mem::kLineSize * 8 * 4, 4,   // L2: 8 sets x 4
+                             &llc, /*enable_prefetch=*/true);
+  RefCacheLevel l1(4, 2);
+  RefCacheLevel l2(8, 4);
+  RefCacheLevel ref_llc(kLlcSets, 4);
+  std::uint64_t prefetch_fills = 0;
+  std::uint64_t last_demand_line = ~0ULL;
+  constexpr std::uint64_t kLines = 512;
+
+  for (int step = 0; step < 50000; ++step) {
+    // Mostly a sliding hot window, sometimes a uniform jump: both hits at
+    // every level and full misses (with prefetches) stay common.
+    const std::uint64_t line = rng.chance(0.7)
+                                   ? (static_cast<std::uint64_t>(step) / 8 +
+                                      rng.below(48)) % kLines
+                                   : rng.below(kLines);
+    const bool is_store = rng.chance(0.3);
+    const auto owner = static_cast<std::uint32_t>(1 + rng.below(3));
+
+    mem::DataSource expected = mem::DataSource::MemTier1;
+    bool prefetched = false;
+    if (l1.access(line, is_store)) {
+      expected = mem::DataSource::L1;
+    } else if (l2.access(line, is_store)) {
+      l1.fill(line, 0);
+      expected = mem::DataSource::L2;
+    } else if (ref_llc.access(line, is_store)) {
+      l2.fill(line, 0);
+      l1.fill(line, 0);
+      expected = mem::DataSource::LLC;
+    } else {
+      ref_llc.fill(line, owner);
+      l2.fill(line, 0);
+      l1.fill(line, 0);
+      if (line != last_demand_line) {
+        last_demand_line = line;
+        if (!ref_llc.contains(line + 1)) {
+          ref_llc.fill(line + 1, owner);
+          ++prefetch_fills;
+          prefetched = true;
+        }
+      }
+    }
+    const mem::CacheAccess got =
+        caches.access(line * mem::kLineSize, is_store, owner);
+    ASSERT_EQ(got.source, expected) << "step " << step << " line " << line;
+    ASSERT_EQ(got.prefetch_issued, prefetched) << "step " << step;
+  }
+
+  EXPECT_EQ(caches.prefetch_fills(), prefetch_fills);
+  EXPECT_EQ(caches.l1().dirty_evictions(), l1.dirty_evictions);
+  EXPECT_EQ(caches.l2().dirty_evictions(), l2.dirty_evictions);
+  EXPECT_EQ(llc.dirty_evictions(), ref_llc.dirty_evictions);
+  EXPECT_GT(ref_llc.dirty_evictions, 0U);
+  for (std::uint32_t owner = 0; owner <= 3; ++owner) {
+    EXPECT_EQ(caches.l1().occupancy_lines(owner), l1.occupancy(owner));
+    EXPECT_EQ(caches.l2().occupancy_lines(owner), l2.occupancy(owner));
+    EXPECT_EQ(llc.occupancy_lines(owner), ref_llc.occupancy(owner));
+  }
+  for (std::uint64_t line = 0; line <= kLines; ++line) {
+    const mem::PhysAddr paddr = line * mem::kLineSize;
+    EXPECT_EQ(caches.l1().contains(paddr), l1.contains(line)) << line;
+    EXPECT_EQ(caches.l2().contains(paddr), l2.contains(line)) << line;
+    EXPECT_EQ(llc.contains(paddr), ref_llc.contains(line)) << line;
+  }
 }
 
 /// The exact HotnessStore driven by a random op stream (adds of skewed

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
+#include <utility>
 #include <vector>
+
+#include "sim/system.hpp"
+#include "util/ckpt.hpp"
+#include "util/thread_pool.hpp"
+#include "workloads/synthetic.hpp"
 
 namespace tmprof::monitors {
 namespace {
@@ -126,6 +134,97 @@ TEST(Ibs, PaperRates) {
   EXPECT_EQ(IbsConfig::paper_default().sample_period, 262144U);
   EXPECT_EQ(IbsConfig::paper_4x().sample_period, 65536U);
   EXPECT_EQ(IbsConfig::paper_8x().sample_period, 32768U);
+}
+
+sim::SimConfig sharded_config() {
+  sim::SimConfig cfg;
+  cfg.cores = 4;
+  cfg.sharded_engine = true;
+  cfg.llc_bytes = 1 << 18;
+  cfg.tier1_frames = 1 << 12;
+  cfg.tier2_frames = 1 << 14;
+  return cfg;
+}
+
+void add_uniform_processes(sim::System& sys) {
+  for (std::uint64_t seed = 1; seed <= sys.config().cores; ++seed) {
+    sys.add_process(
+        std::make_unique<workloads::UniformWorkload>(1 << 22, 0.3, seed));
+  }
+}
+
+template <class Saveable>
+std::vector<std::uint8_t> saved_image(const Saveable& monitor) {
+  util::ckpt::Writer w;
+  w.begin_section("monitor");
+  monitor.save_state(w);
+  w.end_section();
+  return w.finish();
+}
+
+/// What a sharded IBS saw on a 4-core sharded System stepped with `pool`
+/// (null = the shards run inline).
+struct ShardedRun {
+  std::vector<std::uint8_t> drained;  ///< every drained sample, in order
+  std::vector<std::uint8_t> state;    ///< the monitor's checkpoint image
+  std::uint64_t samples = 0;
+  std::uint64_t tags_lost = 0;
+  std::uint64_t interrupts = 0;
+};
+
+IbsConfig sharded_ibs_config() {
+  IbsConfig cfg = IbsConfig::with_period(64);
+  cfg.buffer_capacity = 4;
+  return cfg;
+}
+
+ShardedRun run_sharded(util::ThreadPool* pool) {
+  sim::System sys(sharded_config());
+  add_uniform_processes(sys);
+  IbsMonitor ibs(sharded_ibs_config(), sys.config().cores);
+  ibs.enable_sharded();
+  util::ckpt::Writer drained;
+  drained.begin_section("samples");
+  ibs.set_drain([&drained](std::span<const TraceSample> samples) {
+    for (const TraceSample& s : samples) save_sample(drained, s);
+  });
+  sys.add_observer(&ibs);
+  // Odd step sizes end epochs mid-schedule and mid-countdown.
+  for (int epoch = 0; epoch < 4; ++epoch) sys.step_parallel(3001, pool);
+  ShardedRun run;
+  run.samples = ibs.samples_taken();
+  run.tags_lost = ibs.tags_lost();
+  run.interrupts = ibs.interrupts();
+  run.state = saved_image(ibs);
+  drained.end_section();
+  run.drained = drained.finish();
+  return run;
+}
+
+TEST(Ibs, ShardedStepIsThreadCountInvariant) {
+  util::ThreadPool pool(2);
+  const ShardedRun inline_run = run_sharded(nullptr);
+  const ShardedRun pooled = run_sharded(&pool);
+  EXPECT_GT(inline_run.samples, 0U);
+  EXPECT_GT(inline_run.interrupts, 0U);
+  EXPECT_EQ(pooled.samples, inline_run.samples);
+  EXPECT_EQ(pooled.tags_lost, inline_run.tags_lost);
+  EXPECT_EQ(pooled.interrupts, inline_run.interrupts);
+  EXPECT_EQ(pooled.drained, inline_run.drained);
+  EXPECT_EQ(pooled.state, inline_run.state);
+}
+
+TEST(Ibs, ShardedCheckpointRestoresIntoUnshardedMonitor) {
+  // The load switches the monitor to sharded mode, which re-arms every
+  // countdown; the saved countdowns must still win.
+  const ShardedRun run = run_sharded(nullptr);
+  IbsMonitor restored(sharded_ibs_config(), 4);
+  util::ckpt::Reader r(run.state);
+  r.enter_section("monitor");
+  restored.load_state(r);
+  r.end_section();
+  EXPECT_TRUE(restored.sharded());
+  EXPECT_EQ(saved_image(restored), run.state);
 }
 
 }  // namespace

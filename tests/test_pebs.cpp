@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
+#include <utility>
 #include <vector>
+
+#include "sim/system.hpp"
+#include "util/ckpt.hpp"
+#include "util/thread_pool.hpp"
+#include "workloads/synthetic.hpp"
 
 namespace tmprof::monitors {
 namespace {
@@ -135,6 +143,60 @@ TEST(Pebs, OverheadModel) {
   for (int i = 0; i < 4; ++i) pebs.on_mem_op(make_op(mem::DataSource::MemTier1));
   EXPECT_EQ(pebs.overhead_ns(),
             4 * cfg.cost_per_record_ns + 2 * cfg.cost_per_interrupt_ns);
+}
+
+sim::SimConfig sharded_config() {
+  sim::SimConfig cfg;
+  cfg.cores = 4;
+  cfg.sharded_engine = true;
+  cfg.llc_bytes = 1 << 18;
+  cfg.tier1_frames = 1 << 12;
+  cfg.tier2_frames = 1 << 14;
+  return cfg;
+}
+
+void add_uniform_processes(sim::System& sys) {
+  for (std::uint64_t seed = 1; seed <= sys.config().cores; ++seed) {
+    sys.add_process(
+        std::make_unique<workloads::UniformWorkload>(1 << 22, 0.3, seed));
+  }
+}
+
+template <class Saveable>
+std::vector<std::uint8_t> saved_image(const Saveable& monitor) {
+  util::ckpt::Writer w;
+  w.begin_section("monitor");
+  monitor.save_state(w);
+  w.end_section();
+  return w.finish();
+}
+
+TEST(Pebs, ShardedStepIsThreadCountInvariant) {
+  PebsConfig cfg;
+  cfg.sample_after = 16;
+  cfg.buffer_capacity = 32;
+  auto run = [&cfg](util::ThreadPool* pool) {
+    sim::System sys(sharded_config());
+    add_uniform_processes(sys);
+    PebsMonitor pebs(cfg, sys.config().cores);
+    pebs.enable_sharded();
+    util::ckpt::Writer drained;
+    drained.begin_section("samples");
+    pebs.set_drain([&drained](std::span<const TraceSample> samples) {
+      for (const TraceSample& s : samples) save_sample(drained, s);
+    });
+    sys.add_observer(&pebs);
+    for (int epoch = 0; epoch < 4; ++epoch) sys.step_parallel(3001, pool);
+    EXPECT_GT(pebs.samples_taken(), 0U);
+    EXPECT_GT(pebs.interrupts(), 0U);
+    drained.end_section();
+    return std::make_pair(drained.finish(), saved_image(pebs));
+  };
+  util::ThreadPool pool(2);
+  const auto inline_run = run(nullptr);
+  const auto pooled = run(&pool);
+  EXPECT_EQ(pooled.first, inline_run.first);    // samples, in drain order
+  EXPECT_EQ(pooled.second, inline_run.second);  // monitor state
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "util/assert.hpp"
+#include "util/ckpt.hpp"
 
 namespace tmprof::pmu {
 namespace {
@@ -60,6 +64,84 @@ TEST(PmuCore, ReprogramResetsObservation) {
   core.program({Event::LlcMiss});
   EXPECT_EQ(core.read(Event::LlcMiss), 0U);
   EXPECT_EQ(core.truth(Event::LlcMiss), 5U);
+}
+
+std::vector<std::uint8_t> save_core(const PmuCore& core) {
+  util::ckpt::Writer w;
+  w.begin_section("pmu");
+  core.save_state(w);
+  w.end_section();
+  return w.finish();
+}
+
+void load_core(PmuCore& core, std::vector<std::uint8_t> image) {
+  util::ckpt::Reader r(std::move(image));
+  r.enter_section("pmu");
+  core.load_state(r);
+  r.end_section();
+}
+
+TEST(PmuCore, MultiplexedReadsSurviveSaveLoad) {
+  // Five events over two registers: the rotation, live flags and per-event
+  // live time all feed read()'s scaling.
+  const std::array<Event, 5> events{Event::LlcMiss, Event::DtlbWalk,
+                                    Event::L1DMiss, Event::L2Miss,
+                                    Event::RetiredLoads};
+  PmuCore a(2);
+  a.program({events.begin(), events.end()});
+  ASSERT_TRUE(a.multiplexing());
+  util::SimNs t = 0;
+  auto drive = [&events, &t](PmuCore& core, util::SimNs until) {
+    for (util::SimNs now = t; now < until; now += 37 * util::kMicrosecond) {
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        core.record(events[i], now, 1 + i);
+      }
+    }
+  };
+  // Stop mid-slice so a live slice is open at the save.
+  const util::SimNs cut = 11 * PmuCore::kSliceNs + PmuCore::kSliceNs / 3;
+  drive(a, cut);
+  t = cut;
+
+  PmuCore b(2);
+  load_core(b, save_core(a));
+  for (Event e : events) {
+    EXPECT_EQ(b.read(e), a.read(e)) << event_name(e);
+    EXPECT_EQ(b.truth(e), a.truth(e)) << event_name(e);
+  }
+  // Both keep counting identically after the restore.
+  drive(a, cut + 5 * PmuCore::kSliceNs);
+  drive(b, cut + 5 * PmuCore::kSliceNs);
+  for (Event e : events) {
+    EXPECT_GT(a.read(e), 0U) << event_name(e);
+    EXPECT_EQ(b.read(e), a.read(e)) << event_name(e);
+  }
+  EXPECT_EQ(save_core(b), save_core(a));
+}
+
+TEST(PmuCore, LoadRejectsEventProgrammedTwice) {
+  // A PmuCore image whose programmed set lists one event twice. Reads map
+  // an event to a single observation, so such a set has no meaning.
+  util::ckpt::Writer w;
+  w.begin_section("pmu");
+  for (std::size_t i = 0; i < kEventCount; ++i) w.put_u64(0);
+  w.put_u64(2);  // programmed events
+  for (int i = 0; i < 2; ++i) {
+    w.put_u8(static_cast<std::uint8_t>(Event::LlcMiss));
+    w.put_u64(0);     // raw
+    w.put_u64(0);     // live_ns
+    w.put_bool(true); // live
+  }
+  for (int i = 0; i < 4; ++i) w.put_u64(0);  // rotation and clocks
+  w.end_section();
+
+  PmuCore core(4);
+  try {
+    load_core(core, w.finish());
+    FAIL() << "duplicate programmed event accepted";
+  } catch (const util::ckpt::CkptError& err) {
+    EXPECT_EQ(err.section(), "pmu");
+  }
 }
 
 TEST(Pmu, AggregatesAcrossCores) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "pmu/events.hpp"
+#include "util/ckpt.hpp"
+#include "util/thread_pool.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace tmprof::sim {
@@ -223,6 +228,74 @@ TEST(System, ObserverSeesEveryMemOp) {
 
 namespace tmprof::sim {
 namespace {
+
+/// Five processes of weight 2, 1, 1, 2, 1 (pids 1000..1004) on 3 cores:
+/// core 0 runs pid 1002, core 1 pids 1000 and 1003, core 2 pids 1001 and
+/// 1004.
+std::unique_ptr<System> mixed_weight_system(bool sharded) {
+  SimConfig cfg = small_config();
+  cfg.cores = 3;
+  cfg.sharded_engine = sharded;
+  cfg.tier1_frames = 4096;
+  auto sys = std::make_unique<System>(cfg);
+  const double weights[] = {2.0, 1.0, 1.0, 1.0, 1.0};
+  std::uint64_t seed = 1;
+  for (const double weight : weights) {
+    sys->add_process(
+        std::make_unique<workloads::UniformWorkload>(1 << 16, 0.3, seed++),
+        weight);
+  }
+  return sys;
+}
+
+std::vector<std::uint8_t> saved_image(System& sys) {
+  util::ckpt::Writer w;
+  w.begin_section("system");
+  sys.save_state(w);
+  w.end_section();
+  return w.finish();
+}
+
+TEST(System, ShardedStepWalksEachCoresOwnSlots) {
+  // The schedule lists each process round(weight / min weight) times,
+  // interleaved by slot round: processes 0 1 2 3 4, then 0.
+  const std::vector<std::uint32_t> schedule{0, 1, 2, 3, 4, 0};
+  // Op counts that are not multiples of the 6-slot schedule leave the
+  // cursor mid-lap, so later steps start part-way in and wrap. The long
+  // step gives each core several 4096-op chunks, which the two workers
+  // hand back and forth (worker 0 owns cores 0 and 2, worker 1 core 1);
+  // the core of processes 0 and 3 has 3 slots a lap, which 4096 does not
+  // divide, so a chunk that lost its place would change whose op is next.
+  const std::vector<std::uint64_t> steps{7, 1, 13, 5, 22, 3, 40'003, 9};
+
+  auto inline_shards = mixed_weight_system(true);
+  auto one_worker = mixed_weight_system(true);
+  auto two_workers = mixed_weight_system(true);
+  util::ThreadPool pool1(1);
+  util::ThreadPool pool2(2);
+  std::vector<std::uint64_t> expected(5, 0);  // per process
+  std::size_t cursor = 0;
+  std::uint64_t total = 0;
+  for (const std::uint64_t ops : steps) {
+    for (std::uint64_t i = 0; i < ops; ++i) {
+      ++expected[schedule[cursor]];
+      cursor = (cursor + 1) % schedule.size();
+    }
+    total += ops;
+    inline_shards->step_parallel(ops, nullptr);
+    one_worker->step_parallel(ops, &pool1);
+    two_workers->step_parallel(ops, &pool2);
+    const std::vector<Process*> procs = inline_shards->processes();
+    for (std::size_t p = 0; p < procs.size(); ++p) {
+      EXPECT_EQ(procs[p]->ops_issued(), expected[p])
+          << "process " << p << " after " << total << " ops";
+    }
+    EXPECT_EQ(inline_shards->total_ops(), total);
+  }
+  const std::vector<std::uint8_t> image = saved_image(*inline_shards);
+  EXPECT_EQ(saved_image(*one_worker), image);
+  EXPECT_EQ(saved_image(*two_workers), image);
+}
 
 TEST(SystemIfetch, CodePagesMappedAndItlbCounted) {
   SimConfig cfg;
