@@ -44,15 +44,14 @@ class WriteAwarePolicy final : public tiering::Policy {
           static_cast<double>(pr.rank) *
           (1.0 + write_boost_ * std::min(write_signal, 4.0)));
     }
-    std::sort(boosted.begin(), boosted.end(),
-              [](const core::PageRank& a, const core::PageRank& b) {
-                if (a.rank != b.rank) return a.rank > b.rank;
-                return a.key < b.key;
-              });
-    std::vector<tiering::PageKey> ordered;
-    ordered.reserve(boosted.size());
-    for (const core::PageRank& pr : boosted) ordered.push_back(pr.key);
-    return take_until_full(ordered, ctx);
+    // The ranking arrives in no particular order; take_hottest fills tier 1
+    // best first under the order given here (boosted rank, then key).
+    return take_hottest(
+        boosted, core::RankOrder{},
+        [](const core::PageRank& pr) -> const tiering::PageKey& {
+          return pr.key;
+        },
+        ctx);
   }
 
   [[nodiscard]] std::string_view name() const override {

@@ -7,17 +7,14 @@
 #include "util/ckpt.hpp"
 
 namespace tmprof::core {
-namespace {
 
-/// Merge the per-source counters for `mode` into unsorted fused entries in
-/// `out`. Entries are appended as keys first appear; `scratch.index` maps a
-/// page to its position in `out` so the second source and the writes
-/// ride-along patch in place. The final fuse pass is then a sequential
-/// sweep of `out` rather than a strided walk of a wide hash table. Output
-/// order here is slot order, but every caller sorts under the total
-/// RankOrder, which erases it.
-void merge_observation(const EpochObservation& obs, const FusionParams& params,
-                       RankingScratch& scratch, std::vector<PageRank>& out) {
+// Entries are appended as keys first appear; `scratch.index` maps a page to
+// its position in `out` so the second source and the writes ride-along
+// patch in place. The final fuse pass is then a sequential sweep of `out`
+// rather than a strided walk of a wide hash table.
+void fuse_observation_into(const EpochObservation& obs,
+                           const FusionParams& params, RankingScratch& scratch,
+                           std::vector<PageRank>& out) {
   const FusionMode mode = params.mode;
   PageMap<std::uint32_t>& index = scratch.index;
   index.clear();
@@ -110,12 +107,10 @@ void merge_observation(const EpochObservation& obs, const FusionParams& params,
   }
 }
 
-}  // namespace
-
 void build_ranking_into(const EpochObservation& obs,
                         const FusionParams& params, RankingScratch& scratch,
                         std::vector<PageRank>& out) {
-  merge_observation(obs, params, scratch, out);
+  fuse_observation_into(obs, params, scratch, out);
   // Descending rank; ties broken by key for determinism.
   std::sort(out.begin(), out.end(), RankOrder{});
 }

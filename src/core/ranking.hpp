@@ -130,7 +130,7 @@ struct RankOrder {
   }
 };
 
-/// Reusable merge buffer for build_ranking_into.
+/// Reusable merge buffer for fuse_observation_into / build_ranking_into.
 /// Holds its capacity across calls; one per daemon/evaluator is enough.
 /// Maps each page to its index in the output vector under construction —
 /// a u32 payload keeps the probe table at half the footprint of mapping
@@ -156,6 +156,14 @@ void build_ranking_into(const EpochObservation& obs, FusionMode mode,
 void build_ranking_into(const EpochObservation& obs,
                         const FusionParams& params, RankingScratch& scratch,
                         std::vector<PageRank>& out);
+
+/// build_ranking_into without the sort: the same fused entries, one per
+/// observed page, in an unspecified order (`out` cleared first, capacity
+/// retained). For consumers that impose their own order, such as the
+/// placement policies (PolicyContext::observed_ranking).
+void fuse_observation_into(const EpochObservation& obs,
+                           const FusionParams& params, RankingScratch& scratch,
+                           std::vector<PageRank>& out);
 
 /// Checkpoint serialization helpers. Maps are written in ascending PageKey
 /// order so the byte stream is independent of in-memory slot order.

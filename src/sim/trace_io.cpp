@@ -25,7 +25,9 @@ void TraceWriter::on_mem_op(const monitors::MemOpEvent& event) {
   rec.vaddr = event.vaddr;
   rec.paddr = event.paddr;
   rec.pid = event.pid;
-  rec.ip = event.ip;
+  // TraceRecord keeps a 32-bit IP so the record stays 40 bytes and trace
+  // files stay byte-identical; the upper IP bits are dropped.
+  rec.ip = static_cast<std::uint32_t>(event.ip);
   rec.core = static_cast<std::uint8_t>(event.core);
   rec.is_store = event.is_store ? 1 : 0;
   rec.source = static_cast<std::uint8_t>(event.source);

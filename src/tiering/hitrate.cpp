@@ -12,9 +12,10 @@ HitrateResult evaluate_policy(Policy& policy, const EpochSeries& series,
   PlacementSet placement;
   std::vector<PageKey> first_touch_accumulated;
   // The epoch loop reuses these across iterations: each epoch's ranking is
-  // built exactly once (it serves both as the Oracle's observed truth for
+  // fused exactly once (it serves both as the Oracle's observed truth for
   // epoch e and as History's input for epoch e+1), into capacity-retaining
-  // buffers.
+  // buffers. It stays unsorted: every policy imposes its own order.
+  const core::FusionParams fusion{options.fusion, options.trace_weight, 1.0};
   std::vector<core::PageRank> prev_ranking;
   std::vector<core::PageRank> epoch_ranking;
   core::RankingScratch scratch;
@@ -26,8 +27,8 @@ HitrateResult evaluate_policy(Policy& policy, const EpochSeries& series,
       first_touch_accumulated.push_back(key);
     }
 
-    core::build_ranking_into(data.observed, options.fusion,
-                             options.trace_weight, scratch, epoch_ranking);
+    core::fuse_observation_into(data.observed, fusion, scratch,
+                                epoch_ranking);
 
     PolicyContext ctx;
     ctx.capacity_frames = options.capacity_frames;
@@ -48,15 +49,14 @@ HitrateResult evaluate_policy(Policy& policy, const EpochSeries& series,
     ctx.page_sizes = &series.page_sizes;
 
     PlacementSet next = policy.choose(ctx);
+    // Walk the placement (at most capacity pages), not the epoch's truth.
+    std::uint64_t hits = 0;
     for (const PageKey& key : next) {
       if (placement.count(key) == 0) ++result.promotions;
+      const auto it = data.truth.find(key);
+      if (it != data.truth.end()) hits += it->second;
     }
     placement = std::move(next);
-
-    std::uint64_t hits = 0;
-    for (const auto& [key, count] : data.truth) {
-      if (placement.count(key) != 0) hits += count;
-    }
     result.tier1_accesses += hits;
     result.total_accesses += data.truth_total;
     result.per_epoch.push_back(

@@ -51,8 +51,8 @@ bool Khugepaged::collapse_range(sim::Process& proc,
     const mem::PteRef ref = table.resolve(va);
     if (!ref || ref.size != mem::PageSize::k4K) return false;  // raced
     if (ref.pte->poisoned()) return false;  // profiler owns this page now
-    accessed += ref.pte->accessed() ? 1 : 0;
-    tier0 += system_.phys().tier_of(ref.pte->pfn()) == 0 ? 1 : 0;
+    accessed += ref.pte->accessed() ? 1U : 0U;
+    tier0 += system_.phys().tier_of(ref.pte->pfn()) == 0 ? 1U : 0U;
     pages.emplace_back(va, ref.pte->pfn());
   }
   if (static_cast<double>(accessed) <

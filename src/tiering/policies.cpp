@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/hotness.hpp"
@@ -14,6 +15,7 @@ PlacementSet FirstTouchPolicy::choose(const PolicyContext& ctx) {
   TMPROF_EXPECTS(ctx.first_touch_order != nullptr);
   // Admit new pages in arrival order while room remains; never evict.
   for (const PageKey& key : *ctx.first_touch_order) {
+    if (used_frames_ >= ctx.capacity_frames) break;  // full: nothing fits
     if (placement_.count(key) != 0) continue;
     const std::uint64_t frames = frames_of(ctx, key);
     if (used_frames_ + frames > ctx.capacity_frames) continue;
@@ -23,50 +25,81 @@ PlacementSet FirstTouchPolicy::choose(const PolicyContext& ctx) {
   return placement_;
 }
 
+namespace {
+
+/// A ranked page with everything its order compares looked up once, so no
+/// hash lookup runs inside the sort.
+struct Candidate {
+  std::uint64_t effective_rank = 0;
+  std::uint64_t rank = 0;
+  PageKey key;
+  bool resident = false;
+};
+
+/// Effective rank descending; among equally-ranked pages, ones already
+/// resident in tier 1 first (sparse profiles produce many rank ties, and
+/// migrating between equally-hot pages is pure cost); then raw rank
+/// descending and key ascending, which makes the order total.
+struct CandidateOrder {
+  bool operator()(const Candidate& a, const Candidate& b) const noexcept {
+    if (a.effective_rank != b.effective_rank) {
+      return a.effective_rank > b.effective_rank;
+    }
+    if (a.resident != b.resident) return a.resident;
+    if (a.rank != b.rank) return a.rank > b.rank;
+    return a.key < b.key;
+  }
+};
+
+/// Hottest first, ties broken by ascending key.
+struct HottestFirst {
+  template <typename Pair>
+  bool operator()(const Pair& a, const Pair& b) const noexcept {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  }
+};
+
+/// The page an entry of a policy's candidate list stands for.
+struct EntryKey {
+  const PageKey& operator()(const Candidate& c) const noexcept {
+    return c.key;
+  }
+  template <typename V>
+  const PageKey& operator()(const std::pair<PageKey, V>& p) const noexcept {
+    return p.first;
+  }
+};
+
+bool is_resident(const PolicyContext& ctx, const PageKey& key) {
+  return ctx.current != nullptr && ctx.current->count(key) != 0;
+}
+
+}  // namespace
+
 PlacementSet HistoryPolicy::choose(const PolicyContext& ctx) {
   TMPROF_EXPECTS(ctx.observed_ranking != nullptr);
   if (ctx.observed_ranking->empty() && ctx.current != nullptr) {
     return *ctx.current;  // no information yet: leave placement alone
   }
-  // Among equally-ranked pages, prefer ones already resident in tier 1:
-  // sparse profiles produce many rank ties, and migrating between
-  // equally-hot pages is pure cost.
-  std::vector<const core::PageRank*> order;
-  order.reserve(ctx.observed_ranking->size());
-  for (const core::PageRank& pr : *ctx.observed_ranking) order.push_back(&pr);
-  auto effective_rank = [&](const core::PageRank* pr) {
-    if (!density_rank_) return pr->rank;
-    return pr->rank / frames_of(ctx, pr->key);
-  };
-  std::stable_sort(order.begin(), order.end(),
-                   [&](const core::PageRank* a, const core::PageRank* b) {
-                     const std::uint64_t ra = effective_rank(a);
-                     const std::uint64_t rb = effective_rank(b);
-                     if (ra != rb) return ra > rb;
-                     if (ctx.current != nullptr) {
-                       return ctx.current->count(a->key) >
-                              ctx.current->count(b->key);
-                     }
-                     return false;
-                   });
-  std::vector<PageKey> ordered;
-  ordered.reserve(order.size());
-  for (const core::PageRank* pr : order) ordered.push_back(pr->key);
-  return take_until_full(ordered, ctx);
+  std::vector<Candidate> candidates;
+  candidates.reserve(ctx.observed_ranking->size());
+  for (const core::PageRank& pr : *ctx.observed_ranking) {
+    const std::uint64_t effective =
+        density_rank_ ? pr.rank / frames_of(ctx, pr.key) : pr.rank;
+    candidates.push_back(
+        {effective, pr.rank, pr.key, is_resident(ctx, pr.key)});
+  }
+  return take_hottest(candidates, CandidateOrder{}, EntryKey{}, ctx);
 }
 
 PlacementSet OraclePolicy::choose(const PolicyContext& ctx) {
   TMPROF_EXPECTS(ctx.next_truth != nullptr);
-  std::vector<std::pair<PageKey, std::uint64_t>> pages(
-      ctx.next_truth->begin(), ctx.next_truth->end());
-  std::sort(pages.begin(), pages.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  std::vector<PageKey> ordered;
-  ordered.reserve(pages.size());
-  for (const auto& [key, count] : pages) ordered.push_back(key);
-  return take_until_full(ordered, ctx);
+  // Sized up front, so the copy is one pass over the table.
+  std::vector<std::pair<PageKey, std::uint64_t>> pages;
+  pages.reserve(ctx.next_truth->size());
+  for (const auto& entry : *ctx.next_truth) pages.push_back(entry);
+  return take_hottest(pages, HottestFirst{}, EntryKey{}, ctx);
 }
 
 FrequencyDecayPolicy::FrequencyDecayPolicy(double decay) : decay_(decay) {
@@ -81,14 +114,7 @@ PlacementSet FrequencyDecayPolicy::choose(const PolicyContext& ctx) {
     score_[pr.key] += static_cast<double>(pr.rank);
   }
   std::vector<std::pair<PageKey, double>> pages(score_.begin(), score_.end());
-  std::sort(pages.begin(), pages.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  std::vector<PageKey> ordered;
-  ordered.reserve(pages.size());
-  for (const auto& [key, score] : pages) ordered.push_back(key);
-  return take_until_full(ordered, ctx);
+  return take_hottest(pages, HottestFirst{}, EntryKey{}, ctx);
 }
 
 WriteHistoryPolicy::WriteHistoryPolicy(double write_weight)
@@ -101,25 +127,18 @@ PlacementSet WriteHistoryPolicy::choose(const PolicyContext& ctx) {
   if (ctx.observed_ranking->empty() && ctx.current != nullptr) {
     return *ctx.current;
   }
-  std::vector<core::PageRank> boosted(*ctx.observed_ranking);
-  for (core::PageRank& pr : boosted) {
-    pr.rank += static_cast<std::uint64_t>(write_weight_ *
-                                          static_cast<double>(pr.writes));
+  // The boosted rank is both the effective and the raw rank, so the order
+  // is (boosted rank, resident first, key).
+  std::vector<Candidate> candidates;
+  candidates.reserve(ctx.observed_ranking->size());
+  for (const core::PageRank& pr : *ctx.observed_ranking) {
+    const std::uint64_t boosted =
+        pr.rank + static_cast<std::uint64_t>(write_weight_ *
+                                             static_cast<double>(pr.writes));
+    candidates.push_back(
+        {boosted, boosted, pr.key, is_resident(ctx, pr.key)});
   }
-  std::sort(boosted.begin(), boosted.end(),
-            [&](const core::PageRank& a, const core::PageRank& b) {
-              if (a.rank != b.rank) return a.rank > b.rank;
-              if (ctx.current != nullptr) {
-                const bool ra = ctx.current->count(a.key) != 0;
-                const bool rb = ctx.current->count(b.key) != 0;
-                if (ra != rb) return ra;
-              }
-              return a.key < b.key;
-            });
-  std::vector<PageKey> ordered;
-  ordered.reserve(boosted.size());
-  for (const core::PageRank& pr : boosted) ordered.push_back(pr.key);
-  return take_until_full(ordered, ctx);
+  return take_hottest(candidates, CandidateOrder{}, EntryKey{}, ctx);
 }
 
 std::unique_ptr<Policy> make_policy(const std::string& name) {

@@ -6,6 +6,8 @@
 /// shootdowns, and hotness must be accumulated over time to justify the
 /// migration cost.
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 #include <unordered_map>
@@ -38,8 +40,11 @@ struct PolicyContext {
   std::uint64_t capacity_frames = 0;
   /// Pages currently resident in tier 1.
   const PlacementSet* current = nullptr;
-  /// Profiler ranking of the epoch that just ended (History's input);
-  /// descending hotness. May be empty at epoch 0.
+  /// Profiler ranking of the epoch that just ended (History's input).
+  /// Entries come in unspecified order: each policy imposes its own strict
+  /// total order. (The runner passes core::RankOrder, which its min_rank
+  /// cut-off needs; the offline replay passes the unsorted fusion.) May be
+  /// empty at epoch 0.
   const std::vector<core::PageRank>* observed_ranking = nullptr;
   /// Ground-truth access counts of the *coming* epoch (Oracle only).
   const core::TruthMap* next_truth = nullptr;
@@ -68,18 +73,39 @@ class Policy {
  protected:
   Policy() = default;
 
-  /// Greedily take pages from an ordered range until capacity is exhausted.
-  template <typename Range>
-  static PlacementSet take_until_full(const Range& ordered_keys,
-                                      const PolicyContext& ctx) {
+  /// Greedily fill tier 1 from `items`, best first under the strict total
+  /// order `before`: a page that does not fit the remaining room is
+  /// skipped in favour of smaller ones, and the walk stops once tier 1 is
+  /// full. Every page takes at least one frame, so no more than
+  /// `capacity - used` further pages can be placed: only that prefix is
+  /// selected (nth_element) and sorted. If skipped pages leave room after
+  /// a prefix, the walk continues into a next prefix at least as long as
+  /// everything sorted so far. The placement, and its insertion sequence,
+  /// are those of a walk over the fully sorted range. Permutes `items`.
+  template <typename T, typename Before, typename KeyOf>
+  static PlacementSet take_hottest(std::vector<T>& items, Before before,
+                                   KeyOf key_of, const PolicyContext& ctx) {
     PlacementSet chosen;
     std::uint64_t used = 0;
-    for (const PageKey& key : ordered_keys) {
-      const std::uint64_t frames = frames_of(ctx, key);
-      if (used + frames > ctx.capacity_frames) continue;  // try smaller pages
-      if (!chosen.insert(key).second) continue;
-      used += frames;
-      if (used >= ctx.capacity_frames) break;
+    auto first = items.begin();
+    while (first != items.end() && used < ctx.capacity_frames) {
+      const auto sorted = static_cast<std::uint64_t>(first - items.begin());
+      const auto left = static_cast<std::uint64_t>(items.end() - first);
+      const std::uint64_t chunk =
+          std::min(left, std::max(ctx.capacity_frames - used, sorted));
+      const auto last = first + static_cast<std::ptrdiff_t>(chunk);
+      if (last != items.end()) {
+        std::nth_element(first, last, items.end(), before);
+      }
+      std::sort(first, last, before);
+      for (; first != last; ++first) {
+        const PageKey& key = key_of(*first);
+        const std::uint64_t frames = frames_of(ctx, key);
+        if (used + frames > ctx.capacity_frames) continue;  // try smaller
+        if (!chosen.insert(key).second) continue;
+        used += frames;
+        if (used >= ctx.capacity_frames) break;
+      }
     }
     return chosen;
   }

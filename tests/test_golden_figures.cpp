@@ -49,7 +49,7 @@ struct GoldenCase {
 };
 
 // Captured from a TMPROF_REGEN_GOLDEN run (hex floats: exact bit patterns).
-constexpr std::array<GoldenCase, 8> kGolden{{
+constexpr std::array<GoldenCase, 12> kGolden{{
     {"oracle", "abit", core::FusionMode::AbitOnly, true, 8, 0x1.de50069791ae1p-3},
     {"oracle", "ibs", core::FusionMode::TraceOnly, true, 8, 0x1.81662038f57aap-4},
     {"oracle", "tmp", core::FusionMode::Sum, true, 8, 0x1.123fd61ef917cp-2},
@@ -60,6 +60,14 @@ constexpr std::array<GoldenCase, 8> kGolden{{
     {"history", "tmp", core::FusionMode::Sum, false, 8, 0x1.64670729067f7p-4},
     {"oracle", "truth", core::FusionMode::Sum, false, 32, 0x1.99c90745fa90ep-3},
     {"history", "tmp", core::FusionMode::Sum, false, 32, 0x1.f97a5abe45412p-6},
+    {"first-touch", "none", core::FusionMode::Sum, false, 8,
+     0x1.7793512b92a37p-3},
+    {"history", "tmp", core::FusionMode::Sum, false, 128,
+     0x1.daf9361b70a4ep-8},
+    {"oracle", "abit", core::FusionMode::AbitOnly, true, 128,
+     0x1.bdace787ba231p-7},
+    {"oracle", "truth", core::FusionMode::Sum, false, 128,
+     0x1.07618dada309bp-4},
 }};
 
 TEST(GoldenFigures, Fig6DownscaledHitratesAreBitStable) {
